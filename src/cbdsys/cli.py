@@ -10,7 +10,14 @@ and the exit code is the verdict channel for scripting:
 * 2 - internal error (solver failure, method disagreement)
 * 3 - contextual
 
-Set CBD_LOG=debug (or any standard level name) for verbose diagnostics.
+One place, the ``cli`` group, turns every subcommand's errors into codes 1
+and 2; one function, ``_finish``, renders every report and exits with its
+verdict's code.
+
+CBD_LOG=<level> (a standard level name such as debug) sends log records of
+that level and above to stderr, prefixed with level and logger name.  The
+only log record is the sweep's per-draw disagreement warning, which reaches
+stderr as a bare message even without CBD_LOG.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import logging
 import os
 import sys
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -32,7 +40,13 @@ from .cyclic import (
     detect_cyclic,
     qq_statistic,
 )
-from .errors import CbdError, InconsistentSystemError, SolverError
+from .errors import (
+    CbdError,
+    InconsistentSystemError,
+    ParameterError,
+    RankError,
+    SolverError,
+)
 from .fileio import parse_system_text
 from .report import (
     CONTEXTUAL,
@@ -64,14 +78,31 @@ log = logging.getLogger("cbdsys")
 _CONSTRAINTS = {c.value: c for c in CouplingConstraint}
 
 
-def _emit(report: dict, output: str) -> None:
-    text = render_json(report) if output == "json" else render_text(report)
-    click.echo(text, nl=False)
-
-
-def _fail(message: str, code: int) -> None:
+def _fail(message: str, code: int) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _finish(
+    report: dict, output: str, verdict: str | None = None, failure: str | None = None
+) -> NoReturn:
+    """Append ``verdict`` and ``engine``, render the report, and exit with the
+    verdict's code; a ``failure`` message means exit 2 after the report.
+
+    Without an explicit ``verdict`` it is derived from ``results``, and a
+    report whose ``agreement`` is false becomes a disagreement.
+    """
+    if verdict is None:
+        if report.get("agreement", True):
+            verdict = overall_verdict(report["results"])
+        else:
+            verdict, failure = "disagreement", "closed-form and LP verdicts disagree"
+    report["verdict"] = verdict
+    report["engine"] = engine_entry()
+    click.echo(render_json(report) if output == "json" else render_text(report), nl=False)
+    if failure is not None:
+        _fail(failure, EXIT_INTERNAL_ERROR)
+    sys.exit(EXIT_NONCONTEXTUAL if verdict == NONCONTEXTUAL else EXIT_CONTEXTUAL)
 
 
 def _closed_form(
@@ -94,11 +125,20 @@ def _closed_form(
     return "cyclic2", cbd_cyclic2(system, layout)
 
 
-def _read_system(stream) -> System:
-    return parse_system_text(stream.read())
+class _CbdGroup(click.Group):
+    """Command group that turns every subcommand's errors into exit codes:
+    a SolverError exits 2, any other CbdError exits 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except SolverError as exc:
+            _fail(str(exc), EXIT_INTERNAL_ERROR)
+        except CbdError as exc:
+            _fail(str(exc), EXIT_INPUT_ERROR)
 
 
-@click.group()
+@click.group(cls=_CbdGroup)
 @click.version_option(version=__version__, prog_name="cbdsys")
 def cli() -> None:
     """Contextuality analysis for context-content systems of binary variables."""
@@ -120,11 +160,7 @@ def cli() -> None:
 def analyze(input_stream, constraint: str, method: str, output: str, witness: bool):
     """Decide whether the system in a file is contextual."""
     want = _CONSTRAINTS[constraint]
-    try:
-        system = _read_system(input_stream)
-    except CbdError as exc:
-        _fail(str(exc), EXIT_INPUT_ERROR)
-
+    system = parse_system_text(input_stream.read())
     layout = detect_cyclic(system)
     run_closed = method in ("closed-form", "both")
     run_lp = method in ("lp", "both")
@@ -137,25 +173,19 @@ def analyze(input_stream, constraint: str, method: str, output: str, witness: bo
         else:
             run_lp = True
     if run_closed and layout is None:
-        _fail(
+        raise RankError(
             "closed-form criteria need a cyclic system of rank 2 or 4;"
-            " use --method lp",
-            EXIT_INPUT_ERROR,
+            " use --method lp"
         )
 
     results: list[dict] = []
     lp_verdict: FeasibilityVerdict | None = None
-    try:
-        if run_closed:
-            name, result = _closed_form(system, layout, want)
-            results.append(criterion_entry(name, result))
-        if run_lp:
-            lp_verdict = decide(system, want)
-            results.append(lp_entry(want, lp_verdict))
-    except SolverError as exc:
-        _fail(str(exc), EXIT_INTERNAL_ERROR)
-    except CbdError as exc:
-        _fail(str(exc), EXIT_INPUT_ERROR)
+    if run_closed:
+        name, result = _closed_form(system, layout, want)
+        results.append(criterion_entry(name, result))
+    if run_lp:
+        lp_verdict = decide(system, want)
+        results.append(lp_entry(want, lp_verdict))
 
     report = {
         "command": "analyze",
@@ -164,21 +194,11 @@ def analyze(input_stream, constraint: str, method: str, output: str, witness: bo
         "system": system_summary(system),
         "results": results,
     }
-    agreement = None
     if len(results) > 1:
-        agreement = len({entry["noncontextual"] for entry in results}) == 1
-        report["agreement"] = agreement
+        report["agreement"] = len({entry["noncontextual"] for entry in results}) == 1
     if witness:
         report["witness"] = witness_entry(lp_verdict) if lp_verdict else None
-    report["verdict"] = overall_verdict(results) if agreement in (None, True) else "disagreement"
-    report["engine"] = engine_entry()
-    _emit(report, output)
-
-    if agreement is False:
-        _fail("closed-form and LP verdicts disagree", EXIT_INTERNAL_ERROR)
-    sys.exit(
-        EXIT_NONCONTEXTUAL if report["verdict"] == NONCONTEXTUAL else EXIT_CONTEXTUAL
-    )
+    _finish(report, output)
 
 
 @cli.command("double-slit")
@@ -205,29 +225,14 @@ def double_slit(p, q, pp, qp, rp, sweep, seed, output, witness):
     point = [p, q, pp, qp, rp]
     if sweep is not None:
         if any(v is not None for v in point):
-            _fail("--sweep replaces the explicit parameters", EXIT_INPUT_ERROR)
+            raise ParameterError("--sweep replaces the explicit parameters")
         _double_slit_sweep(sweep, seed, output)
-        return
     if any(v is None for v in point):
-        _fail("need all of --p --q --pp --qp --rp (or --sweep N)", EXIT_INPUT_ERROR)
-    try:
-        params = DoubleSlitParams(p=p, q=q, p_prime=pp, q_prime=qp, r_prime=rp)
-    except CbdError as exc:
-        _fail(str(exc), EXIT_INPUT_ERROR)
-    try:
-        closed = check_double_slit(params)
-        system = build_double_slit(params)
-        verdict = decide(system, CouplingConstraint.MAX_EQUALITY)
-    except SolverError as exc:
-        _fail(str(exc), EXIT_INTERNAL_ERROR)
-    except CbdError as exc:
-        _fail(str(exc), EXIT_INPUT_ERROR)
-
-    results = [
-        criterion_entry("cyclic4", closed),
-        lp_entry(CouplingConstraint.MAX_EQUALITY, verdict),
-    ]
-    agreement = closed.noncontextual == verdict.feasible
+        raise ParameterError("need all of --p --q --pp --qp --rp (or --sweep N)")
+    params = DoubleSlitParams(p=p, q=q, p_prime=pp, q_prime=qp, r_prime=rp)
+    closed = check_double_slit(params)
+    system = build_double_slit(params)
+    verdict = decide(system, CouplingConstraint.MAX_EQUALITY)
     report = {
         "command": "double-slit",
         "params": {
@@ -238,56 +243,42 @@ def double_slit(p, q, pp, qp, rp, sweep, seed, output, witness):
             "r_prime": params.r_prime,
         },
         "system": system_summary(system),
-        "results": results,
-        "agreement": agreement,
+        "results": [
+            criterion_entry("cyclic4", closed),
+            lp_entry(CouplingConstraint.MAX_EQUALITY, verdict),
+        ],
+        "agreement": closed.noncontextual == verdict.feasible,
     }
     if witness:
         report["witness"] = witness_entry(verdict)
-    report["verdict"] = overall_verdict(results) if agreement else "disagreement"
-    report["engine"] = engine_entry()
-    _emit(report, output)
-    if not agreement:
-        _fail("closed-form and LP verdicts disagree", EXIT_INTERNAL_ERROR)
-    sys.exit(
-        EXIT_NONCONTEXTUAL if report["verdict"] == NONCONTEXTUAL else EXIT_CONTEXTUAL
-    )
+    _finish(report, output)
 
 
-def _double_slit_sweep(sweep: int, seed: int, output: str) -> None:
+def _double_slit_sweep(sweep: int, seed: int, output: str) -> NoReturn:
     if sweep <= 0:
-        _fail("--sweep must be positive", EXIT_INPUT_ERROR)
+        raise ParameterError("--sweep must be positive")
     rng = np.random.default_rng(seed)
-    noncontextual = contextual = disagreements = 0
-    try:
-        for i in range(sweep):
-            params = sample_double_slit_params(rng)
-            closed = check_double_slit(params)
-            verdict = decide(build_double_slit(params), CouplingConstraint.MAX_EQUALITY)
-            if closed.noncontextual != verdict.feasible:
-                disagreements += 1
-                log.warning("draw %d: closed form and LP disagree (%r)", i, params)
-            if closed.noncontextual:
-                noncontextual += 1
-            else:
-                contextual += 1
-    except SolverError as exc:
-        _fail(str(exc), EXIT_INTERNAL_ERROR)
+    contextual = disagreements = 0
+    for i in range(sweep):
+        params = sample_double_slit_params(rng)
+        closed = check_double_slit(params)
+        verdict = decide(build_double_slit(params), CouplingConstraint.MAX_EQUALITY)
+        if closed.noncontextual != verdict.feasible:
+            disagreements += 1
+            log.warning("draw %d: closed form and LP disagree (%r)", i, params)
+        contextual += not closed.noncontextual
     report = {
         "command": "double-slit-sweep",
         "sweep": sweep,
         "seed": seed,
         "counts": {
-            "noncontextual": noncontextual,
+            "noncontextual": sweep - contextual,
             "contextual": contextual,
             "disagreements": disagreements,
         },
-        "verdict": NONCONTEXTUAL if contextual == 0 else CONTEXTUAL,
-        "engine": engine_entry(),
     }
-    _emit(report, output)
-    if disagreements:
-        _fail(f"{disagreements} closed-form/LP disagreements", EXIT_INTERNAL_ERROR)
-    sys.exit(EXIT_NONCONTEXTUAL if contextual == 0 else EXIT_CONTEXTUAL)
+    failure = f"{disagreements} closed-form/LP disagreements" if disagreements else None
+    _finish(report, output, CONTEXTUAL if contextual else NONCONTEXTUAL, failure)
 
 
 @cli.command()
@@ -297,28 +288,19 @@ def _double_slit_sweep(sweep: int, seed: int, output: str) -> None:
               show_default=True)
 def qq(input_stream, output: str):
     """Question-order diagnostics: QQ statistic plus the rank-2 criterion."""
-    try:
-        system = _read_system(input_stream)
-    except CbdError as exc:
-        _fail(str(exc), EXIT_INPUT_ERROR)
+    system = parse_system_text(input_stream.read())
     layout = detect_cyclic(system)
     if layout is None or layout.rank != 2:
-        _fail("qq needs a cyclic system of rank 2", EXIT_INPUT_ERROR)
+        raise RankError("qq needs a cyclic system of rank 2")
     statistic = qq_statistic(system, layout)
-    result = cbd_cyclic2(system, layout)
     report = {
         "command": "qq",
         "system": system_summary(system),
         "qq_statistic": statistic,
         "qq_equality_holds": abs(statistic) <= EPS_PROB,
-        "results": [criterion_entry("cyclic2", result)],
-        "verdict": NONCONTEXTUAL if result.noncontextual else CONTEXTUAL,
-        "engine": engine_entry(),
+        "results": [criterion_entry("cyclic2", cbd_cyclic2(system, layout))],
     }
-    _emit(report, output)
-    sys.exit(
-        EXIT_NONCONTEXTUAL if result.noncontextual else EXIT_CONTEXTUAL
-    )
+    _finish(report, output)
 
 
 def main(argv: list[str] | None = None) -> None:

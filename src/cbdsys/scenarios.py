@@ -62,7 +62,9 @@ class DoubleSlitParams:
             ("q_prime", self.q_prime),
             ("r_prime", self.r_prime),
         ):
-            if not 0.0 <= value:
+            if not math.isfinite(value):
+                problems.append(f"{name} = {value!r} is not a finite number")
+            elif value < 0.0:
                 problems.append(f"{name} = {value!r} is negative")
         if self.r_prime + self.p_prime + self.q_prime > 1.0:
             problems.append("r_prime + p_prime + q_prime exceeds 1")

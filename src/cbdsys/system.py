@@ -39,14 +39,16 @@ NO = -1
 
 def _clean_probs(probs: Iterable[float]) -> tuple[float, ...]:
     """Absorb float dust on load: clamp entries in [-EPS_PROB, 0) to zero and
-    renormalize when the total is within EPS_PROB of one.  Larger defects are
-    left untouched for validate_system to report."""
+    renormalize when the total is within EPS_PROB of one.  Larger defects and
+    non-finite entries are left untouched for validate_system to report."""
     vals = []
     for v in probs:
         v = float(v) + 0.0  # also folds -0.0 to 0.0
         if -EPS_PROB <= v < 0.0:
             v = 0.0
         vals.append(v)
+    if not all(map(math.isfinite, vals)):
+        return tuple(vals)
     total = math.fsum(vals)
     if total > 0.0 and total != 1.0 and abs(total - 1.0) <= EPS_PROB:
         vals = [v / total for v in vals]
@@ -111,12 +113,6 @@ class System:
         object.__setattr__(self, "contexts", tuple(self.contexts))
         object.__setattr__(self, "bunches", tuple(self.bunches))
 
-    def context(self, context_id: str) -> Context:
-        for ctx in self.contexts:
-            if ctx.id == context_id:
-                return ctx
-        raise KeyError(context_id)
-
     def bunch(self, context_id: str) -> Bunch:
         for b in self.bunches:
             if b.context == context_id:
@@ -171,9 +167,9 @@ def build_system(
 def validate_system(system: System) -> list[str]:
     """Return every violated invariant of ``system`` (empty list = valid).
 
-    Violations are data, not failures: negative probabilities, bunch sums off
-    by more than EPS_PROB, dangling ids, and structural mismatches are all
-    collected rather than raised.
+    Violations are data, not failures: non-finite or negative probabilities,
+    bunch sums off by more than EPS_PROB, dangling ids, and structural
+    mismatches are all collected rather than raised.
     """
     violations: list[str] = []
 
@@ -232,9 +228,17 @@ def validate_system(system: System) -> list[str]:
                 f" expected {expected}"
             )
             continue
-        # Entry range checks come before the sum check.
+        # Entry checks come before the sum check.  NaN passes every range
+        # comparison and makes the sum NaN, so non-finite entries are
+        # reported on their own and leave the sum unchecked.
+        finite = True
         for i, v in enumerate(bunch.probs):
-            if v < -EPS_PROB:
+            if not math.isfinite(v):
+                finite = False
+                violations.append(
+                    f"bunch for context {ctx.id!r} entry {i} is not a finite number ({v!r})"
+                )
+            elif v < -EPS_PROB:
                 violations.append(
                     f"bunch for context {ctx.id!r} entry {i} is negative ({v!r})"
                 )
@@ -242,6 +246,8 @@ def validate_system(system: System) -> list[str]:
                 violations.append(
                     f"bunch for context {ctx.id!r} entry {i} exceeds 1 ({v!r})"
                 )
+        if not finite:
+            continue
         total = math.fsum(bunch.probs)
         if abs(total - 1.0) > EPS_PROB:
             violations.append(

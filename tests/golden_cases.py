@@ -143,6 +143,18 @@ CASES: tuple[GoldenCase, ...] = (
         stderr_contains="at most 2",
     ),
     GoldenCase(
+        name="nan_probs",
+        args=("analyze", "--input", "nan_probs.json"),
+        exit_code=1,
+        stderr_contains="entry 0 is not a finite number (nan)",
+    ),
+    GoldenCase(
+        name="qq_nan_probs",
+        args=("qq", "--input", "nan_probs.json"),
+        exit_code=1,
+        stderr_contains="entry 0 is not a finite number (nan)",
+    ),
+    GoldenCase(
         name="nonbinary_values",
         args=("analyze", "--input", "nonbinary_values.json"),
         exit_code=1,

@@ -86,6 +86,15 @@ def build_inputs() -> None:
   ]
 }
 """)
+    write(INPUT_DIR / "nan_probs.json", """\
+{
+  "contents": [{"id": "A"}, {"id": "B"}],
+  "contexts": [
+    {"id": "AB", "contents": ["A", "B"], "probs": [NaN, 0.5, 0.5, 0.0]},
+    {"id": "BA", "contents": ["A", "B"], "probs": [0.1, 0.4, 0.2, 0.3]}
+  ]
+}
+""")
     write(INPUT_DIR / "nonbinary_values.json", """\
 {
   "contents": [{"id": "q"}],

@@ -136,3 +136,73 @@ def test_entry_point_runs_end_to_end():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["qq_statistic"] == 0
+
+
+def _invoke(args):
+    from click.testing import CliRunner
+
+    from cbdsys.cli import cli
+
+    return CliRunner().invoke(cli, args, catch_exceptions=False)
+
+
+_POINT = ("double-slit", "--p", "0.1", "--q", "0.1", "--pp", "0.08",
+          "--qp", "0.08", "--rp", "0.05")
+
+
+@pytest.mark.parametrize("args", [
+    ("analyze", "--input", str(INPUT_DIR / "bell_mixed.json"), "--method", "lp"),
+    _POINT,
+    ("double-slit", "--sweep", "3", "--seed", "1"),
+], ids=["analyze_lp", "double_slit_point", "double_slit_sweep"])
+def test_solver_error_exits_two(monkeypatch, args):
+    from cbdsys import SolverError
+
+    def broken(system, constraint):
+        raise SolverError("solver gave up")
+
+    monkeypatch.setattr("cbdsys.cli.decide", broken)
+    result = _invoke(args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["error: solver gave up"]
+
+
+def _contradicting_decide(system, constraint):
+    # Every system used below is noncontextual, so "infeasible" contradicts
+    # the closed form.
+    from cbdsys.coupling import FeasibilityVerdict
+
+    return FeasibilityVerdict(feasible=False, witness=None,
+                              max_constraint_violation=0.25)
+
+
+@pytest.mark.parametrize("args", [
+    ("analyze", "--input", str(INPUT_DIR / "bell_mixed.json"), "--method", "both",
+     "--output", "json"),
+    (*_POINT, "--output", "json"),
+], ids=["analyze_both", "double_slit_point"])
+def test_disagreement_exits_two(monkeypatch, args):
+    monkeypatch.setattr("cbdsys.cli.decide", _contradicting_decide)
+    result = _invoke(args)
+    assert result.exit_code == 2
+    doc = json.loads(result.stdout)
+    assert doc["agreement"] is False
+    assert doc["verdict"] == "disagreement"
+    assert list(doc)[-2:] == ["verdict", "engine"]
+    assert result.stderr.splitlines()[-1] == (
+        "error: closed-form and LP verdicts disagree")
+
+
+def test_sweep_disagreements_exit_two_and_keep_counts(monkeypatch):
+    monkeypatch.setattr("cbdsys.cli.decide", _contradicting_decide)
+    result = _invoke(("double-slit", "--sweep", "3", "--seed", "1",
+                      "--output", "json"))
+    assert result.exit_code == 2
+    doc = json.loads(result.stdout)
+    assert doc["counts"] == {"noncontextual": 3, "contextual": 0,
+                             "disagreements": 3}
+    assert doc["verdict"] == "noncontextual"
+    assert list(doc)[-2:] == ["verdict", "engine"]
+    assert result.stderr.splitlines()[-1] == (
+        "error: 3 closed-form/LP disagreements")

@@ -58,6 +58,11 @@ class TestDoubleSlitParams:
         with pytest.raises(ParameterError):
             DoubleSlitParams(p=0.0, q=0.0, p_prime=0.25, q_prime=0.25, r_prime=0.0)
 
+    def test_nan_named_as_not_finite(self):
+        with pytest.raises(ParameterError, match="p = nan is not a finite number"):
+            DoubleSlitParams(p=float("nan"), q=0.1, p_prime=0.08, q_prime=0.08,
+                             r_prime=0.05)
+
     def test_sampler_yields_admissible_draws(self):
         rng = np.random.default_rng(99)
         for _ in range(500):

@@ -40,6 +40,19 @@ class TestValidateSystem:
         assert "negative" in violations[0]
         assert "exceeds 1" in violations[1]
 
+    @pytest.mark.parametrize(
+        "probs", [[math.nan, 0.5], [math.inf, -math.inf], [math.nan, math.inf]]
+    )
+    def test_non_finite_entries_reported_instead_of_range_and_sum(self, probs):
+        # NaN slips past every comparison and fsum(inf, -inf) raises; each
+        # non-finite entry is named once and no range or sum message follows.
+        violations = validate_system(coin_system(probs))
+        assert violations == [
+            f"bunch for context 'c' entry {i} is not a finite number ({v!r})"
+            for i, v in enumerate(probs)
+            if not math.isfinite(v)
+        ]
+
     def test_dangling_content_reference(self):
         system = build_system(["q"], [("c", ["q", "ghost"], [0.25] * 4)])
         assert any("undeclared content 'ghost'" in v for v in validate_system(system))
