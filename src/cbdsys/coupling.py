@@ -5,47 +5,55 @@ A system is noncontextual exactly when one joint distribution exists over
 every bunch and gives each within-connection pair its required probability of
 agreeing: 1 for the "equal always" (reduced-coupling) constraint, or the
 maximal-coupling value 1 - |a - b| for the default "equal with maximal
-possible probability" constraint.  Both are linear in the joint-assignment
-probabilities, so existence is a linear feasibility problem over 2**m
-unknowns (m = total variable count).
+possible probability" constraint.
 
-Two independent deciders are provided:
+For +1/-1 variables a pair's 2x2 table is fixed by its two marginals and its
+Pr[equal], so existence is a marginal problem on the hypergraph whose edges
+are the contexts and the connection pairs.  The engine therefore never
+enumerates the 2**m joint assignments (m = total variable count) in the LP:
 
-* :func:`decide` solves one elastic LP with scipy's HiGHS backend, minimizing
-  the largest absolute constraint violation; the optimum is the distance to
-  feasibility, and the minimizer doubles as the witness when it is ~0.
-* :func:`brute_force_decide` re-derives the verdict from scratch: b must be a
-  convex combination of the constraint images of the 2**m deterministic
-  couplings, which a hand-rolled dense-tableau phase-1 simplex with Bland's
-  rule settles without touching scipy.  It exists to cross-check decide and
-  is intentionally limited to small systems.
+* the *primal graph* has one node per variable and an edge between any two
+  variables of one context or of one connection pair;
+* greedy min-fill elimination triangulates it, its maximal cliques are kept,
+  and a maximum-weight spanning tree on separator size joins them into a
+  clique tree (empty separators link disconnected components, so every
+  component carries the same total mass);
+* the LP has one unknown per entry of each clique table (sum of 2**|C|
+  unknowns), reads every bunch, equal and mass row off a clique holding its
+  variables, and makes neighbouring cliques agree on their separators.
+
+On a clique tree, locally consistent tables always extend to a global joint
+(Vorob'ev 1962; Abramsky & Brandenburger, NJP 13, 2011), so the LP's optimum
+is exactly the distance to feasibility over all 2**m joint assignments.
+
+:func:`decide` solves one elastic LP with scipy's HiGHS backend, minimizing
+the largest absolute constraint violation.  When that distance is ~0 the
+clique tables are glued into the full 2**m joint (product of clique tables
+over separator tables), and the joint is checked against every row by
+enumeration before it is returned as the witness.  M_MAX bounds the size of
+that dense witness.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import ConnectionSizeError, SolverError, SystemSizeError
 from .system import EPS_FEAS, System, connections, require_valid
 
-#: Hard cap on the total variable count (2**20 dense unknowns).
+#: Hard cap on the total variable count: the witness is a dense joint
+#: distribution over 2**M_MAX assignments.
 M_MAX = 20
-
-#: brute_force_decide is a test oracle; keep its tableaus small.
-BRUTE_M_MAX = 12
 
 #: Violations below this are treated as exactly feasible; between this and
 #: EPS_FEAS the verdict is re-solved at tightened tolerance and flagged
 #: "boundary" if still ambiguous.
 TIGHT_TOL = 1e-10
-
-#: Switch the LP constraint blocks to sparse storage above this many variables.
-_DENSE_M_LIMIT = 12
 
 
 class CouplingConstraint(enum.Enum):
@@ -76,19 +84,29 @@ def max_equality_probability(a: float, b: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityProblem:
-    """Equality system A x = rhs over joint-assignment probabilities x >= 0.
+    """The clique-tree LP over clique tables x >= 0.
 
-    ``variables`` fixes the assignment-index bit convention: bit j of an
-    assignment (least significant = variables[0]) carries variables[j], with
-    bit value 1 meaning +1.  Rows encode, in order: every bunch entry of every
-    context, one agreement probability per two-member connection, and total
-    mass one.
+    ``variables`` fixes the variable positions and the witness's bit
+    convention: bit j of a joint assignment (least significant =
+    variables[0]) carries variables[j], with bit value 1 meaning +1.
+    ``cliques`` lists each maximal clique as ascending variable positions;
+    the unknowns are the clique tables laid end to end, and bit j of an
+    entry of clique C's table carries variables[C[j]].  ``tree`` lists the
+    clique-tree edges as (parent, child), root (clique 0) first.
+
+    The first ``elastic_rows`` rows of ``matrix`` are, in order: every bunch
+    entry of every context, one agreement probability per two-member
+    connection, and total mass one.  The remaining rows (right-hand side 0)
+    make each tree edge's two cliques agree on their separator.
     """
 
     variables: tuple[tuple[str, str], ...]
-    matrix: object  # dense ndarray, or scipy.sparse matrix for large systems
+    cliques: tuple[tuple[int, ...], ...]
+    tree: tuple[tuple[int, int], ...]
+    matrix: np.ndarray
     rhs: np.ndarray
     row_labels: tuple[str, ...]
+    elastic_rows: int
 
     @property
     def num_variables(self) -> int:
@@ -119,6 +137,17 @@ class FeasibilityVerdict:
     boundary: bool = False
 
 
+@dataclass(frozen=True)
+class _Marginals:
+    """What a coupling must reproduce, by variable position: each context's
+    bunch as (context id, positions, probs) and each two-member connection
+    as (row label, u, v, target Pr[equal])."""
+
+    variables: tuple[tuple[str, str], ...]
+    bunches: tuple[tuple[str, tuple[int, ...], tuple[float, ...]], ...]
+    pairs: tuple[tuple[str, int, int, float], ...]
+
+
 def coupling_variables(system: System) -> tuple[tuple[str, str], ...]:
     """(content, context) pairs in canonical order: contexts as declared,
     contents in context order."""
@@ -127,14 +156,9 @@ def coupling_variables(system: System) -> tuple[tuple[str, str], ...]:
     )
 
 
-def build_feasibility_problem(
-    system: System, constraint: CouplingConstraint
-) -> FeasibilityProblem:
-    """Assemble the linear feasibility problem deciding C-coupling existence.
-
-    Requires a valid system whose connections all have at most two members
-    and whose total variable count does not exceed M_MAX.
-    """
+def _marginals(system: System, constraint: CouplingConstraint) -> _Marginals:
+    """Requires a valid system whose connections all have at most two members
+    and whose total variable count does not exceed M_MAX."""
     require_valid(system)
     conns = connections(system)
     for conn in conns:
@@ -147,124 +171,251 @@ def build_feasibility_problem(
     m = len(variables)
     if m > M_MAX:
         raise SystemSizeError(
-            f"coupling over {m} variables needs 2^{m} unknowns; limit is 2^{M_MAX}"
+            f"coupling over {m} variables needs a 2^{m}-entry witness;"
+            f" limit is 2^{M_MAX}"
         )
-
-    n = 1 << m
-    index = np.arange(n)
-    var_pos = {var: j for j, var in enumerate(variables)}
-
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    labels: list[str] = []
-
-    for ctx in system.contexts:
-        bunch = system.bunch(ctx.id)
-        bits = [(index >> var_pos[(q, ctx.id)]) & 1 for q in ctx.contents]
-        for a, prob in enumerate(bunch.probs):
-            mask = np.ones(n, dtype=bool)
-            for j, bit in enumerate(bits):
-                mask &= bit == ((a >> j) & 1)
-            rows.append(mask)
-            rhs.append(prob)
-            labels.append(f"bunch[{ctx.id}][{a}]")
-
+    pos = {var: j for j, var in enumerate(variables)}
+    bunches = tuple(
+        (ctx.id, tuple(pos[(q, ctx.id)] for q in ctx.contents),
+         system.bunch(ctx.id).probs)
+        for ctx in system.contexts
+    )
+    pairs = []
     for conn in conns:
         if len(conn.members) != 2:
             continue
         (ctx_a, marg_a), (ctx_b, marg_b) = conn.members
-        u = (index >> var_pos[(conn.content, ctx_a)]) & 1
-        v = (index >> var_pos[(conn.content, ctx_b)]) & 1
-        rows.append(u == v)
-        rhs.append(constraint.target(marg_a, marg_b))
-        labels.append(f"equal[{conn.content}:{ctx_a}={ctx_b}]")
+        pairs.append((
+            f"equal[{conn.content}:{ctx_a}={ctx_b}]",
+            pos[(conn.content, ctx_a)],
+            pos[(conn.content, ctx_b)],
+            constraint.target(marg_a, marg_b),
+        ))
+    return _Marginals(variables, bunches, tuple(pairs))
 
-    rows.append(np.ones(n, dtype=bool))
+
+def _gather_bits(index: np.ndarray, bits) -> np.ndarray:
+    """For each entry of ``index``, the number whose bit j is its bit bits[j]."""
+    out = np.zeros_like(index)
+    for j, bit in enumerate(bits):
+        out |= ((index >> bit) & 1) << j
+    return out
+
+
+def _triangulate(m: int, edges) -> list[tuple[int, ...]]:
+    """Maximal cliques of a min-fill triangulation of the graph on m nodes,
+    in elimination order, each as ascending node numbers.
+
+    Each step eliminates the node whose neighbours lack the fewest edges
+    among themselves (ties: fewest neighbours, then lowest number), joins
+    those neighbours, and records the node with its neighbours as a clique.
+    """
+    adj: list[set[int]] = [set() for _ in range(m)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def fill(v: int) -> int:
+        return sum(1 for a, b in combinations(adj[v], 2) if b not in adj[a])
+
+    remaining = set(range(m))
+    cliques: list[frozenset[int]] = []
+    while remaining:
+        v = min(remaining, key=lambda v: (fill(v), len(adj[v]), v))
+        for a, b in combinations(adj[v], 2):
+            adj[a].add(b)
+            adj[b].add(a)
+        for a in adj[v]:
+            adj[a].discard(v)
+        cliques.append(frozenset(adj[v] | {v}))
+        remaining.discard(v)
+    return [
+        tuple(sorted(c)) for c in cliques if not any(c < other for other in cliques)
+    ]
+
+
+def _clique_tree(cliques: list[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """Maximum-weight spanning tree on separator size (Prim, from clique 0),
+    as (parent, child) edges in the order the children join."""
+    sets = [set(c) for c in cliques]
+    joined = [0]
+    edges = []
+    while len(joined) < len(cliques):
+        _, parent, child = max(
+            (len(sets[p] & sets[c]), -p, -c)
+            for p in joined
+            for c in range(len(cliques))
+            if c not in joined
+        )
+        edges.append((-parent, -child))
+        joined.append(-child)
+    return edges
+
+
+def _separator(cliques, edge: tuple[int, int]) -> tuple[int, ...]:
+    parent, child = edge
+    return tuple(sorted(set(cliques[parent]) & set(cliques[child])))
+
+
+def _clique_problem(marg: _Marginals) -> FeasibilityProblem:
+    """Assemble the clique-tree LP for the given marginal constraints."""
+    edges = [
+        edge for _, positions, _ in marg.bunches for edge in combinations(positions, 2)
+    ]
+    edges += [(u, v) for _, u, v, _ in marg.pairs]
+    cliques = _triangulate(len(marg.variables), edges)
+    tree = _clique_tree(cliques)
+    offsets = np.cumsum([0] + [1 << len(c) for c in cliques])
+
+    def marginal_rows(i: int, positions) -> np.ndarray:
+        """Rows summing clique i's table to each entry of its marginal over
+        ``positions`` (bit j of the entry carries positions[j])."""
+        clique = cliques[i]
+        entry = _gather_bits(
+            np.arange(1 << len(clique)), [clique.index(p) for p in positions]
+        )
+        rows = np.zeros((1 << len(positions), offsets[-1]))
+        rows[entry, offsets[i] + np.arange(entry.size)] = 1.0
+        return rows
+
+    def holder(positions) -> int:
+        return next(i for i, c in enumerate(cliques) if set(positions) <= set(c))
+
+    blocks: list[np.ndarray] = []
+    rhs: list[float] = []
+    labels: list[str] = []
+    for ctx_id, positions, probs in marg.bunches:
+        blocks.append(marginal_rows(holder(positions), positions))
+        rhs.extend(probs)
+        labels.extend(f"bunch[{ctx_id}][{a}]" for a in range(len(probs)))
+    for label, u, v, target in marg.pairs:
+        rows = marginal_rows(holder((u, v)), (u, v))
+        blocks.append(rows[[0]] + rows[[3]])  # both -1 or both +1
+        rhs.append(target)
+        labels.append(label)
+    blocks.append(marginal_rows(0, ()))
     rhs.append(1.0)
     labels.append("mass")
+    elastic_rows = len(rhs)
 
-    if m > _DENSE_M_LIMIT:
-        matrix = sparse.vstack(
-            [sparse.csr_matrix(row.astype(np.float64)) for row in rows], format="csr"
-        )
-    else:
-        matrix = np.array(rows, dtype=np.float64)
+    for parent, child in tree:
+        sep = _separator(cliques, (parent, child))
+        blocks.append(marginal_rows(parent, sep) - marginal_rows(child, sep))
+        rhs.extend([0.0] * (1 << len(sep)))
+        labels.extend(f"separator[{parent}-{child}][{s}]" for s in range(1 << len(sep)))
+
     return FeasibilityProblem(
-        variables=variables,
-        matrix=matrix,
+        variables=marg.variables,
+        cliques=tuple(cliques),
+        tree=tuple(tree),
+        matrix=np.vstack(blocks),
         rhs=np.array(rhs, dtype=np.float64),
         row_labels=tuple(labels),
+        elastic_rows=elastic_rows,
     )
+
+
+def build_feasibility_problem(
+    system: System, constraint: CouplingConstraint
+) -> FeasibilityProblem:
+    """Assemble the clique-tree LP deciding C-coupling existence.
+
+    Requires a valid system whose connections all have at most two members
+    and whose total variable count does not exceed M_MAX.
+    """
+    return _clique_problem(_marginals(system, constraint))
 
 
 def _solve_min_max_violation(
     problem: FeasibilityProblem, tight: bool
 ) -> tuple[float, np.ndarray]:
-    """Minimize t subject to |A x - rhs| <= t entrywise, x >= 0.
+    """Minimize t subject to |E x - rhs| <= t on every elastic row, exact
+    separator agreement, and x >= 0.
 
-    Returns (t*, x*): the distance to feasibility in the max norm and its
-    minimizer, which is a valid witness whenever t* is negligible.
+    Returns (t*, x*): the distance to feasibility in the max norm and the
+    clique tables attaining it.
     """
-    A, b = problem.matrix, problem.rhs
-    nr = len(b)
-    nc = A.shape[1]  # one unknown per joint assignment: 2**m
-    ones = np.ones((nr, 1))
-    if sparse.issparse(A):
-        A_ub = sparse.bmat([[A, -ones], [-A, -ones]], format="csr")
-    else:
-        A_ub = np.block([[A, -ones], [-A, -ones]])
+    k = problem.elastic_rows
+    E, b = problem.matrix[:k], problem.rhs[:k]
+    S = problem.matrix[k:]
+    ones = np.ones((k, 1))
+    A_ub = np.block([[E, -ones], [-E, -ones]])
     b_ub = np.concatenate([b, -b])
-    c = np.zeros(nc + 1)
+    A_eq = np.hstack([S, np.zeros((len(S), 1))])
+    b_eq = problem.rhs[k:]
+    c = np.zeros(E.shape[1] + 1)
     c[-1] = 1.0
     options = {"presolve": True}
     if tight:
         options["primal_feasibility_tolerance"] = 1e-10
         options["dual_feasibility_tolerance"] = 1e-10
     res = linprog(
-        c, A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs", options=options
+        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
+        method="highs", options=options,
     )
     if res.status != 0:
         raise SolverError(f"LP solver failed (status {res.status}): {res.message}")
     return float(res.x[-1]), res.x[:-1]
 
 
+def _joint(problem: FeasibilityProblem, x: np.ndarray) -> np.ndarray:
+    """The 2**m joint glued from clique tables: the root table times, along
+    each tree edge, the child's table over its own separator marginal
+    (0/0 = 0).  Tiny negative solver entries are clipped to zero first.
+
+    The product is taken over the joint viewed as an m-axis array, whose
+    axis k carries variable m-1-k (C order, so bit j of the flat index is
+    variable j).  A clique table over ascending positions reshapes onto
+    those axes directly, with size-1 axes broadcasting the rest."""
+    m = problem.num_variables
+    sizes = [1 << len(c) for c in problem.cliques]
+    tables = np.split(np.maximum(x, 0.0), np.cumsum(sizes)[:-1])
+
+    def spread(clique: tuple[int, ...], table: np.ndarray) -> np.ndarray:
+        return table.reshape([2 if m - 1 - k in clique else 1 for k in range(m)])
+
+    joint = spread(problem.cliques[0], tables[0])
+    for edge in problem.tree:
+        clique, table = problem.cliques[edge[1]], tables[edge[1]]
+        sep_entry = _gather_bits(
+            np.arange(table.size),
+            [clique.index(p) for p in _separator(problem.cliques, edge)],
+        )
+        den = np.bincount(sep_entry, weights=table)[sep_entry]
+        conditional = np.divide(table, den, out=np.zeros_like(table), where=den > 0)
+        joint = joint * spread(clique, conditional)
+    return joint.reshape(-1)
+
+
+def _enumeration_violation(marg: _Marginals, x: np.ndarray) -> float:
+    """Worst defect of a 2**m joint, by enumeration: negative mass, total
+    mass, bunch reproduction error, or missed connection-equality target."""
+    index = np.arange(x.size)
+    worst = max(0.0, float(-x.min()), abs(float(x.sum()) - 1.0))
+    for _, positions, probs in marg.bunches:
+        got = np.bincount(_gather_bits(index, positions), weights=x, minlength=len(probs))
+        worst = max(worst, float(np.abs(got - probs).max()))
+    for _, u, v, target in marg.pairs:
+        equal = float(x[((index >> u) & 1) == ((index >> v) & 1)].sum())
+        worst = max(worst, abs(equal - target))
+    return worst
+
+
 def witness_violation(
     system: System, constraint: CouplingConstraint, witness: CouplingWitness
 ) -> float:
-    """Worst absolute defect of a claimed witness: negative mass, bunch
-    reproduction error, or missed connection-equality target."""
-    problem = build_feasibility_problem(system, constraint)
-    if witness.variables != problem.variables:
+    """Worst absolute defect of a claimed witness, checked by enumerating its
+    2**m entries: negative mass, total mass, bunch reproduction error, or
+    missed connection-equality target."""
+    marg = _marginals(system, constraint)
+    if witness.variables != marg.variables:
         raise ValueError("witness variable order does not match the system's")
     x = np.asarray(witness.probs, dtype=np.float64)
-    if x.shape != (1 << problem.num_variables,):
+    if x.shape != (1 << len(marg.variables),):
         raise ValueError(
-            f"witness has {x.size} entries, expected {1 << problem.num_variables}"
+            f"witness has {x.size} entries, expected {1 << len(marg.variables)}"
         )
-    return _max_violation(problem, x)
-
-
-def _max_violation(problem: FeasibilityProblem, x: np.ndarray) -> float:
-    residual = np.abs(problem.matrix @ x - problem.rhs).max()
-    negativity = max(0.0, float(-x.min())) if x.size else 0.0
-    return max(float(residual), negativity)
-
-
-def _verdict_from_solution(
-    problem: FeasibilityProblem, x: np.ndarray, boundary: bool
-) -> FeasibilityVerdict:
-    witness = CouplingWitness(problem.variables, tuple(float(v) for v in x))
-    violation = _max_violation(problem, x)
-    if violation > EPS_FEAS:
-        raise SolverError(
-            f"solver returned an invalid witness (violation {violation:g})"
-        )
-    return FeasibilityVerdict(
-        feasible=True,
-        witness=witness,
-        max_constraint_violation=violation,
-        boundary=boundary,
-    )
+    return _enumeration_violation(marg, x)
 
 
 def decide(system: System, constraint: CouplingConstraint) -> FeasibilityVerdict:
@@ -272,101 +423,27 @@ def decide(system: System, constraint: CouplingConstraint) -> FeasibilityVerdict
 
     Feasible means the LP admits a point with max constraint violation at
     most EPS_FEAS.  Verdicts inside (TIGHT_TOL, EPS_FEAS] are re-solved at
-    tightened solver tolerance and flagged ``boundary`` if still ambiguous.
+    tightened solver tolerance, decided by that solve, and flagged
+    ``boundary`` if still ambiguous.
     """
-    problem = build_feasibility_problem(system, constraint)
+    marg = _marginals(system, constraint)
+    problem = _clique_problem(marg)
     t, x = _solve_min_max_violation(problem, tight=False)
+    if TIGHT_TOL < t <= EPS_FEAS:
+        t, x = _solve_min_max_violation(problem, tight=True)
     if t > EPS_FEAS:
         return FeasibilityVerdict(
             feasible=False, witness=None, max_constraint_violation=t
         )
-    boundary = False
-    if t > TIGHT_TOL:
-        t2, x2 = _solve_min_max_violation(problem, tight=True)
-        if t2 < t:
-            t, x = t2, x2
-        boundary = t > TIGHT_TOL
-    return _verdict_from_solution(problem, x, boundary)
-
-
-def brute_force_decide(
-    system: System, constraint: CouplingConstraint
-) -> FeasibilityVerdict:
-    """Independent oracle for :func:`decide`, limited to m <= BRUTE_M_MAX.
-
-    Searches the convex combinations of all 2**m deterministic couplings for
-    one hitting the target vector, via a dense-tableau phase-1 simplex with
-    Bland's rule: a different formulation, pivoting scheme, and elimination
-    path than the HiGHS solver behind decide.
-    """
-    m = len(coupling_variables(system))
-    if m > BRUTE_M_MAX:
-        raise SystemSizeError(
-            f"brute-force decider handles at most {BRUTE_M_MAX} variables, got {m}"
-        )
-    problem = build_feasibility_problem(system, constraint)
-    x = _phase1_bland(np.asarray(problem.matrix, dtype=np.float64), problem.rhs.copy())
-    violation = _max_violation(problem, x)
+    joint = _joint(problem, x)
+    violation = _enumeration_violation(marg, joint)
     if violation > EPS_FEAS:
-        return FeasibilityVerdict(
-            feasible=False, witness=None, max_constraint_violation=violation
+        raise SolverError(
+            f"solver returned an invalid witness (violation {violation:g})"
         )
-    return _verdict_from_solution(problem, x, boundary=False)
-
-
-def _phase1_bland(
-    A: np.ndarray,
-    b: np.ndarray,
-    pivot_tol: float = 1e-9,
-    max_pivots: int = 50_000,
-) -> np.ndarray:
-    """Phase-1 primal simplex on {x >= 0 : A x = b}, returning the x that
-    minimizes the total artificial mass (zero iff the system is feasible).
-
-    Bland's smallest-index rule is used for both the entering and leaving
-    choices, which precludes cycling on these highly degenerate polytopes.
-    """
-    nr, nc = A.shape
-    flip = b < 0
-    A = np.where(flip[:, None], -A, A)
-    b = np.where(flip, -b, b)
-
-    # Tableau [A | I | b] with the artificial identity as starting basis.
-    T = np.empty((nr, nc + nr + 1))
-    T[:, :nc] = A
-    T[:, nc : nc + nr] = np.eye(nr)
-    T[:, -1] = b
-    basis = np.arange(nc, nc + nr)
-
-    # Reduced costs for min(sum of artificials): 0 - 1^T A_j on real columns.
-    z = np.zeros(nc + nr)
-    z[:nc] = -A.sum(axis=0)
-
-    for _ in range(max_pivots):
-        entering = np.flatnonzero(z < -pivot_tol)
-        if entering.size == 0:
-            break
-        j = int(entering[0])
-        col = T[:, j]
-        candidates = np.flatnonzero(col > pivot_tol)
-        if candidates.size == 0:
-            # Phase-1 objective is bounded below by zero, so an unbounded
-            # direction can only be numerical noise.
-            raise SolverError("phase-1 simplex found an unbounded direction")
-        ratios = T[candidates, -1] / col[candidates]
-        best = ratios.min()
-        ties = candidates[ratios <= best + 1e-12]
-        r = int(ties[np.argmin(basis[ties])])
-
-        T[r] /= T[r, j]
-        reduce = T[:, j].copy()
-        reduce[r] = 0.0
-        T -= np.outer(reduce, T[r])
-        z -= z[j] * T[r, :-1]
-        basis[r] = j
-    else:
-        raise SolverError("phase-1 simplex exceeded the pivot budget")
-
-    x = np.zeros(nc + nr)
-    x[basis] = T[:, -1]
-    return x[:nc]
+    return FeasibilityVerdict(
+        feasible=True,
+        witness=CouplingWitness(problem.variables, tuple(joint.tolist())),
+        max_constraint_violation=violation,
+        boundary=t > TIGHT_TOL,
+    )

@@ -40,14 +40,16 @@ NO = -1
 def _clean_probs(probs: Iterable[float]) -> tuple[float, ...]:
     """Absorb float dust on load: clamp entries in [-EPS_PROB, 0) to zero and
     renormalize when the total is within EPS_PROB of one.  Larger defects and
-    non-finite entries are left untouched for validate_system to report."""
+    entries outside [0, 1 + EPS_PROB] (NaN, infinities, huge values that
+    would overflow the sum) are left untouched for validate_system to
+    report."""
     vals = []
     for v in probs:
         v = float(v) + 0.0  # also folds -0.0 to 0.0
         if -EPS_PROB <= v < 0.0:
             v = 0.0
         vals.append(v)
-    if not all(map(math.isfinite, vals)):
+    if not all(0.0 <= v <= 1.0 + EPS_PROB for v in vals):
         return tuple(vals)
     total = math.fsum(vals)
     if total > 0.0 and total != 1.0 and abs(total - 1.0) <= EPS_PROB:
@@ -229,12 +231,12 @@ def validate_system(system: System) -> list[str]:
             )
             continue
         # Entry checks come before the sum check.  NaN passes every range
-        # comparison and makes the sum NaN, so non-finite entries are
-        # reported on their own and leave the sum unchecked.
-        finite = True
+        # comparison and makes the sum NaN, and huge finite entries overflow
+        # fsum, so an entry defect is reported on its own and leaves the sum
+        # unchecked.
+        entry_defects = len(violations)
         for i, v in enumerate(bunch.probs):
             if not math.isfinite(v):
-                finite = False
                 violations.append(
                     f"bunch for context {ctx.id!r} entry {i} is not a finite number ({v!r})"
                 )
@@ -246,7 +248,7 @@ def validate_system(system: System) -> list[str]:
                 violations.append(
                     f"bunch for context {ctx.id!r} entry {i} exceeds 1 ({v!r})"
                 )
-        if not finite:
+        if len(violations) > entry_defects:
             continue
         total = math.fsum(bunch.probs)
         if abs(total - 1.0) > EPS_PROB:

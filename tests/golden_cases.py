@@ -155,6 +155,18 @@ CASES: tuple[GoldenCase, ...] = (
         stderr_contains="entry 0 is not a finite number (nan)",
     ),
     GoldenCase(
+        name="huge_probs",
+        args=("analyze", "--input", "huge_probs.json"),
+        exit_code=1,
+        stderr_contains="entry 1 exceeds 1 (1e+308)",
+    ),
+    GoldenCase(
+        name="qq_huge_probs",
+        args=("qq", "--input", "huge_probs.json"),
+        exit_code=1,
+        stderr_contains="entry 1 exceeds 1 (1e+308)",
+    ),
+    GoldenCase(
         name="nonbinary_values",
         args=("analyze", "--input", "nonbinary_values.json"),
         exit_code=1,

@@ -3,16 +3,36 @@
 The generators are deliberately varied (boundary-pinned couplings, sparse
 Dirichlet weights, moment-built near-extremal systems) so randomized
 equivalence suites exercise both verdicts.  The oracles recompute quantities
-by enumeration, independent of the library's code paths.
+by enumeration, independent of the library's code paths; the coupling oracle
+(:func:`brute_force_decide`) works on all 2**m joint assignments with a
+hand-rolled simplex, where the library solves a clique-tree LP with HiGHS.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from cbdsys import Bunch, Content, Context, System, build_system
+from cbdsys import (
+    EPS_FEAS,
+    Bunch,
+    Content,
+    Context,
+    CouplingConstraint,
+    CouplingWitness,
+    FeasibilityVerdict,
+    SolverError,
+    System,
+    SystemSizeError,
+    build_system,
+    connections,
+    coupling_variables,
+)
+
+#: brute_force_decide builds dense 2**m tableaus; keep them small.
+BRUTE_M_MAX = 12
 
 
 def bunch_probs_from_moments(ea: float, eb: float, eab: float) -> list[float]:
@@ -120,6 +140,61 @@ def random_small_system(rng: np.random.Generator, max_vars: int = 8) -> System:
     return build_system(used, tables)
 
 
+def random_cycle(rng: np.random.Generator, n: int, consistent: bool) -> System:
+    """Rank-n cycle (context c_i holds q_i and q_{i+1 mod n}) built from
+    moments: products near an odd sign pattern, where contextual systems are
+    common, and means small enough for every table to exist.  With
+    ``consistent`` each content keeps one mean in both its contexts."""
+    signs = rng.choice([-1.0, 1.0], size=n)
+    if float(np.prod(signs)) > 0:
+        signs[rng.integers(n)] *= -1.0
+    products = signs * (1.0 - rng.uniform(0.0, 0.3, n))
+    bound = (1.0 - np.abs(products).max()) / 2.0
+    shared = rng.uniform(-bound, bound, n)
+    tables = []
+    for i in range(n):
+        ea, eb = (shared[i], shared[(i + 1) % n]) if consistent else rng.uniform(-bound, bound, 2)
+        tables.append((f"c{i}", [f"q{i}", f"q{(i + 1) % n}"],
+                       bunch_probs_from_moments(ea, eb, products[i])))
+    return build_system([f"q{i}" for i in range(n)], tables)
+
+
+def random_chain(rng: np.random.Generator, n: int) -> System:
+    """Chain of n two-content contexts (c_i holds q_i and q_{i+1}), with
+    independent Dirichlet tables: generally inconsistent."""
+    tables = [
+        (f"c{i}", [f"q{i}", f"q{i + 1}"], list(rng.dirichlet([1.0] * 4)))
+        for i in range(n)
+    ]
+    return build_system([f"q{i}" for i in range(n + 1)], tables)
+
+
+def cyclic_criterion_margin(system: System, constraint: CouplingConstraint) -> float:
+    """(n - 2 + Delta) - s_odd(e) for a rank-n cycle laid out as by
+    random_cycle, from the bunch probabilities by enumeration: the system is
+    noncontextual iff the margin is >= 0 (Kujala, Dzhafarov & Larsson, PRL
+    115, 150401, 2015).  Under equal-always any marginal gap makes the margin
+    -inf, since pairs with different marginals can never be equal always."""
+
+    def mean(probs, bit):
+        return sum(p if (a >> bit) & 1 else -p for a, p in enumerate(probs))
+
+    tables = [system.bunch(ctx.id).probs for ctx in system.contexts]
+    n = len(tables)
+    e = [sum(p if (a & 1) == ((a >> 1) & 1) else -p for a, p in enumerate(t))
+         for t in tables]
+    delta = sum(abs(mean(tables[i], 0) - mean(tables[i - 1], 1)) for i in range(n))
+    if constraint is CouplingConstraint.EQUAL_ALWAYS:
+        if delta > 1e-9:
+            return -np.inf
+        delta = 0.0
+    magnitudes = [abs(v) for v in e]
+    s_odd = sum(magnitudes)
+    if sum(v < 0 for v in e) % 2 == 0:
+        s_odd -= 2.0 * min(magnitudes)
+    return n - 2 + delta - s_odd
+
+
 def permute_declarations(system: System, rng: np.random.Generator) -> System:
     """Same system, contents/contexts declared in a different order."""
     contents = list(system.contents)
@@ -160,22 +235,19 @@ def rename_ids(system: System, content_map: dict[str, str], context_map: dict[st
 def marginalize_joint(probs, positions: list[int], m: int) -> list[float]:
     """Distribution of the variables at ``positions`` under a joint vector
     over m binary variables, by direct enumeration (test-side oracle)."""
-    out = [0.0] * (1 << len(positions))
-    for assignment, p in enumerate(probs):
-        local = 0
-        for j, pos in enumerate(positions):
-            if (assignment >> pos) & 1:
-                local |= 1 << j
-        out[local] += p
-    return out
+    index = np.arange(1 << m)
+    local = np.zeros_like(index)
+    for j, pos in enumerate(positions):
+        local |= ((index >> pos) & 1) << j
+    weights = np.asarray(probs, dtype=np.float64)
+    return np.bincount(local, weights=weights, minlength=1 << len(positions)).tolist()
 
 
 def pair_equal_probability(probs, u: int, v: int) -> float:
     """Pr[bit u == bit v] under a joint vector, by direct enumeration."""
-    return sum(
-        p for assignment, p in enumerate(probs)
-        if ((assignment >> u) & 1) == ((assignment >> v) & 1)
-    )
+    x = np.asarray(probs, dtype=np.float64)
+    index = np.arange(x.size)
+    return float(x[((index >> u) & 1) == ((index >> v) & 1)].sum())
 
 
 def max_equality_by_basis_enumeration(a: float, b: float) -> float:
@@ -219,3 +291,151 @@ def max_deterministic_cyclic_lhs(n: int = 4) -> float:
         total = sum(products)
         best = max(best, max(abs(total - 2.0 * e) for e in products))
     return best
+
+
+@dataclass(frozen=True, eq=False)
+class JointProblem:
+    """Equality system A x = rhs over the 2**m joint-assignment probabilities.
+
+    Bit j of an assignment (least significant = variables[0]) carries
+    variables[j], with bit value 1 meaning +1.  Rows encode, in order: every
+    bunch entry of every context, one agreement probability per two-member
+    connection, and total mass one.
+    """
+
+    variables: tuple[tuple[str, str], ...]
+    matrix: np.ndarray
+    rhs: np.ndarray
+    row_labels: tuple[str, ...]
+
+
+def build_joint_problem(system: System, constraint: CouplingConstraint) -> JointProblem:
+    """The coupling problem over all 2**m joint assignments, dense."""
+    variables = coupling_variables(system)
+    n = 1 << len(variables)
+    index = np.arange(n)
+    var_pos = {var: j for j, var in enumerate(variables)}
+
+    rows: list[np.ndarray] = []
+    rhs: list[float] = []
+    labels: list[str] = []
+
+    for ctx in system.contexts:
+        bunch = system.bunch(ctx.id)
+        bits = [(index >> var_pos[(q, ctx.id)]) & 1 for q in ctx.contents]
+        for a, prob in enumerate(bunch.probs):
+            mask = np.ones(n, dtype=bool)
+            for j, bit in enumerate(bits):
+                mask &= bit == ((a >> j) & 1)
+            rows.append(mask)
+            rhs.append(prob)
+            labels.append(f"bunch[{ctx.id}][{a}]")
+
+    for conn in connections(system):
+        if len(conn.members) != 2:
+            continue
+        (ctx_a, marg_a), (ctx_b, marg_b) = conn.members
+        u = (index >> var_pos[(conn.content, ctx_a)]) & 1
+        v = (index >> var_pos[(conn.content, ctx_b)]) & 1
+        rows.append(u == v)
+        rhs.append(constraint.target(marg_a, marg_b))
+        labels.append(f"equal[{conn.content}:{ctx_a}={ctx_b}]")
+
+    rows.append(np.ones(n, dtype=bool))
+    rhs.append(1.0)
+    labels.append("mass")
+
+    return JointProblem(
+        variables=variables,
+        matrix=np.array(rows, dtype=np.float64),
+        rhs=np.array(rhs, dtype=np.float64),
+        row_labels=tuple(labels),
+    )
+
+
+def brute_force_decide(
+    system: System, constraint: CouplingConstraint
+) -> FeasibilityVerdict:
+    """Independent oracle for ``decide``, limited to m <= BRUTE_M_MAX.
+
+    Searches the convex combinations of all 2**m deterministic couplings for
+    one hitting the target vector, via a dense-tableau phase-1 simplex with
+    Bland's rule: a different formulation, pivoting scheme, and elimination
+    path than the clique-tree HiGHS solve behind decide.
+    """
+    m = len(coupling_variables(system))
+    if m > BRUTE_M_MAX:
+        raise SystemSizeError(
+            f"brute-force decider handles at most {BRUTE_M_MAX} variables, got {m}"
+        )
+    problem = build_joint_problem(system, constraint)
+    x = _phase1_bland(problem.matrix, problem.rhs.copy())
+    residual = float(np.abs(problem.matrix @ x - problem.rhs).max())
+    violation = max(residual, max(0.0, float(-x.min())))
+    if violation > EPS_FEAS:
+        return FeasibilityVerdict(
+            feasible=False, witness=None, max_constraint_violation=violation
+        )
+    return FeasibilityVerdict(
+        feasible=True,
+        witness=CouplingWitness(problem.variables, tuple(x.tolist())),
+        max_constraint_violation=violation,
+    )
+
+
+def _phase1_bland(
+    A: np.ndarray,
+    b: np.ndarray,
+    pivot_tol: float = 1e-9,
+    max_pivots: int = 50_000,
+) -> np.ndarray:
+    """Phase-1 primal simplex on {x >= 0 : A x = b}, returning the x that
+    minimizes the total artificial mass (zero iff the system is feasible).
+
+    Bland's smallest-index rule is used for both the entering and leaving
+    choices, which precludes cycling on these highly degenerate polytopes.
+    """
+    nr, nc = A.shape
+    flip = b < 0
+    A = np.where(flip[:, None], -A, A)
+    b = np.where(flip, -b, b)
+
+    # Tableau [A | I | b] with the artificial identity as starting basis.
+    T = np.empty((nr, nc + nr + 1))
+    T[:, :nc] = A
+    T[:, nc : nc + nr] = np.eye(nr)
+    T[:, -1] = b
+    basis = np.arange(nc, nc + nr)
+
+    # Reduced costs for min(sum of artificials): 0 - 1^T A_j on real columns.
+    z = np.zeros(nc + nr)
+    z[:nc] = -A.sum(axis=0)
+
+    for _ in range(max_pivots):
+        entering = np.flatnonzero(z < -pivot_tol)
+        if entering.size == 0:
+            break
+        j = int(entering[0])
+        col = T[:, j]
+        candidates = np.flatnonzero(col > pivot_tol)
+        if candidates.size == 0:
+            # Phase-1 objective is bounded below by zero, so an unbounded
+            # direction can only be numerical noise.
+            raise SolverError("phase-1 simplex found an unbounded direction")
+        ratios = T[candidates, -1] / col[candidates]
+        best = ratios.min()
+        ties = candidates[ratios <= best + 1e-12]
+        r = int(ties[np.argmin(basis[ties])])
+
+        T[r] /= T[r, j]
+        reduce = T[:, j].copy()
+        reduce[r] = 0.0
+        T -= np.outer(reduce, T[r])
+        z -= z[j] * T[r, :-1]
+        basis[r] = j
+    else:
+        raise SolverError("phase-1 simplex exceeded the pivot budget")
+
+    x = np.zeros(nc + nr)
+    x[basis] = T[:, -1]
+    return x[:nc]

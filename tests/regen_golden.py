@@ -95,6 +95,15 @@ def build_inputs() -> None:
   ]
 }
 """)
+    write(INPUT_DIR / "huge_probs.json", """\
+{
+  "contents": [{"id": "A"}, {"id": "B"}],
+  "contexts": [
+    {"id": "AB", "contents": ["A", "B"], "probs": [1e308, 1e308, 0.0, 0.0]},
+    {"id": "BA", "contents": ["A", "B"], "probs": [0.1, 0.4, 0.2, 0.3]}
+  ]
+}
+""")
     write(INPUT_DIR / "nonbinary_values.json", """\
 {
   "contents": [{"id": "q"}],

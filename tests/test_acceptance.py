@@ -13,7 +13,6 @@ import numpy as np
 from cbdsys import (
     CouplingConstraint,
     DoubleSlitParams,
-    brute_force_decide,
     build_bell,
     build_double_slit,
     cbd_cyclic2,
@@ -29,6 +28,7 @@ from cbdsys import (
 )
 from golden_cases import CASES, EXPECTED_DIR, run_case
 from helpers import (
+    brute_force_decide,
     marginalize_joint,
     max_deterministic_cyclic_lhs,
     max_equality_by_basis_enumeration,

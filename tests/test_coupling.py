@@ -1,16 +1,18 @@
 """coupling-engine: LP feasibility, witnesses, and the simplex oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbdsys import (
+    EPS_FEAS,
     ConnectionSizeError,
     CouplingConstraint,
     DoubleSlitParams,
     SystemSizeError,
-    brute_force_decide,
     build_bell,
     build_double_slit,
     build_feasibility_problem,
@@ -26,11 +28,16 @@ from cbdsys import (
     witness_violation,
 )
 from helpers import (
+    brute_force_decide,
+    build_joint_problem,
+    cyclic_criterion_margin,
     flip_content,
     marginalize_joint,
     max_equality_by_basis_enumeration,
     pair_equal_probability,
     permute_declarations,
+    random_chain,
+    random_cycle,
     random_rank2,
     random_rank4_general,
     random_small_system,
@@ -38,6 +45,27 @@ from helpers import (
 
 EA = CouplingConstraint.EQUAL_ALWAYS
 ME = CouplingConstraint.MAX_EQUALITY
+
+
+def assert_witness_reproduces(system, constraint, witness):
+    """Enumerate the witness margins directly instead of trusting the
+    engine's own validator."""
+    probs = np.asarray(witness.probs)
+    variables = list(witness.variables)
+    m = len(variables)
+    assert probs.min() >= -1e-7
+    for ctx in system.contexts:
+        positions = [variables.index((q, ctx.id)) for q in ctx.contents]
+        got = marginalize_joint(probs, positions, m)
+        assert np.allclose(got, system.bunch(ctx.id).probs, atol=1e-7)
+    for conn in connections(system):
+        if len(conn.members) != 2:
+            continue
+        (ctx_a, ma), (ctx_b, mb) = conn.members
+        u = variables.index((conn.content, ctx_a))
+        v = variables.index((conn.content, ctx_b))
+        target = constraint.target(ma, mb)
+        assert pair_equal_probability(probs, u, v) == pytest.approx(target, abs=1e-7)
 
 
 class TestMaxEqualityProbability:
@@ -79,7 +107,7 @@ class TestMaxEqualityProbability:
 class TestBuildFeasibilityProblem:
     def test_rank4_dimensions(self):
         system = build_bell((0.0, 0.0, 0.0, 0.0), [0.0] * 8)
-        problem = build_feasibility_problem(system, ME)
+        problem = build_joint_problem(system, ME)
         assert len(problem.variables) == 8
         assert problem.matrix.shape == (4 * 4 + 4 + 1, 256)
         assert problem.row_labels[-1] == "mass"
@@ -89,7 +117,7 @@ class TestBuildFeasibilityProblem:
             ["A", "B"],
             [("AB", ["A", "B"], [0.25] * 4), ("BA", ["A", "B"], [0.25] * 4)],
         )
-        problem = build_feasibility_problem(system, ME)
+        problem = build_joint_problem(system, ME)
         assert len(problem.variables) == 4
         assert problem.matrix.shape == (2 * 4 + 2 + 1, 16)
 
@@ -158,30 +186,22 @@ class TestDecide:
             assert verdict.max_constraint_violation > 1e-7
 
     def test_witness_reproduces_bunches_and_targets(self, rng):
-        # Enumerate the witness margins directly instead of trusting the
-        # engine's own validator.
         for _ in range(20):
             system = random_small_system(rng)
             verdict = decide(system, ME)
-            if not verdict.feasible:
-                continue
-            probs = verdict.witness.probs
-            variables = list(verdict.witness.variables)
-            m = len(variables)
-            for ctx in system.contexts:
-                positions = [variables.index((q, ctx.id)) for q in ctx.contents]
-                got = marginalize_joint(probs, positions, m)
-                assert np.allclose(got, system.bunch(ctx.id).probs, atol=1e-7)
-            for conn in connections(system):
-                if len(conn.members) != 2:
-                    continue
-                (ctx_a, ma), (ctx_b, mb) = conn.members
-                u = variables.index((conn.content, ctx_a))
-                v = variables.index((conn.content, ctx_b))
-                target = max_equality_probability(ma, mb)
-                assert pair_equal_probability(probs, u, v) == pytest.approx(
-                    target, abs=1e-7
-                )
+            if verdict.feasible:
+                assert_witness_reproduces(system, ME, verdict.witness)
+
+    def test_boundary_slice_never_raises(self):
+        # Rank-4 systems just past the criterion boundary, where the LP's
+        # residual is near EPS_FEAS: every call returns a verdict, and every
+        # feasible witness holds up.
+        for g in np.logspace(-8, -4, 200):
+            x = (2.0 + g) / 4.0
+            system = build_bell((x, x, x, -x), [0.0] * 8)
+            verdict = decide(system, ME)
+            if verdict.feasible:
+                assert witness_violation(system, ME, verdict.witness) <= EPS_FEAS
 
 
 class TestBruteForceDecide:
@@ -213,29 +233,120 @@ class TestBruteForceDecide:
                 )
 
     def test_agrees_at_its_size_limit(self, rng):
-        # m up to 12: the largest tableau the oracle accepts.
-        for _ in range(15):
+        # m up to 12, the largest tableau the oracle accepts, under both
+        # constraints; the draws must include single contexts, three-content
+        # contexts and systems whose contexts fall into unlinked groups.
+        shapes = {"single context": 0, "three contents": 0, "disconnected": 0}
+        for _ in range(200):
             system = random_small_system(rng, max_vars=12)
+            shapes["single context"] += len(system.contexts) == 1
+            shapes["three contents"] += any(len(c.contents) == 3 for c in system.contexts)
+            shapes["disconnected"] += context_groups(system) > 1
             for constraint in (EA, ME):
                 assert (
                     decide(system, constraint).feasible
                     == brute_force_decide(system, constraint).feasible
                 )
+        assert all(shapes.values()), shapes
+
+
+def context_groups(system):
+    """Number of groups of contexts linked by shared contents."""
+    group = {ctx.id: ctx.id for ctx in system.contexts}
+
+    def find(c):
+        while group[c] != c:
+            c = group[c]
+        return c
+
+    for a, b in itertools.combinations(system.contexts, 2):
+        if set(a.contents) & set(b.contents):
+            group[find(a.id)] = find(b.id)
+    return len({find(c) for c in group})
+
+
+class TestCliqueProblem:
+    def test_columns_are_clique_tables(self, rng):
+        for _ in range(100):
+            system = random_small_system(rng, max_vars=12)
+            problem = build_feasibility_problem(system, ME)
+            m = problem.num_variables
+            cols = sum(1 << len(c) for c in problem.cliques)
+            assert problem.matrix.shape[1] == cols <= 1 << m
+            assert len(problem.rhs) == len(problem.row_labels) == problem.matrix.shape[0]
+
+    def test_cliques_form_a_clique_tree(self, rng):
+        # Every context and connection pair sits inside one clique, and the
+        # cliques holding any one variable form a connected part of the tree
+        # (running intersection), which is what lets local tables glue.
+        for _ in range(100):
+            system = random_small_system(rng, max_vars=12)
+            problem = build_feasibility_problem(system, EA)
+            cliques = [set(c) for c in problem.cliques]
+            pos = {var: j for j, var in enumerate(problem.variables)}
+            for ctx in system.contexts:
+                members = {pos[(q, ctx.id)] for q in ctx.contents}
+                assert any(members <= c for c in cliques)
+            for conn in connections(system):
+                if len(conn.members) == 2:
+                    pair = {pos[(conn.content, ctx)] for ctx, _ in conn.members}
+                    assert any(pair <= c for c in cliques)
+            assert len(problem.tree) == len(cliques) - 1
+            for j in range(problem.num_variables):
+                holders = {i for i, c in enumerate(cliques) if j in c}
+                links = [e for e in problem.tree if set(e) <= holders]
+                assert len(links) == len(holders) - 1
+
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_cycle_is_far_smaller_than_joint(self, n, rng):
+        # A cycle of 2n variables triangulates into 2n - 2 triangles: 144
+        # columns for a rank-10 cycle (m = 20) instead of 2^20.
+        problem = build_feasibility_problem(random_cycle(rng, n, consistent=False), ME)
+        assert problem.num_variables == 2 * n
+        assert problem.matrix.shape[1] == 8 * (2 * n - 2) < 200
 
 
 class TestLargeSystems:
-    def test_sparse_path_above_twelve_variables(self, rng):
+    def test_chain_above_twelve_variables(self, rng):
         tables = [
             (f"c{i}", [f"q{i}", f"q{i + 1}"], list(rng.dirichlet([1.0] * 4)))
             for i in range(7)
         ]
         system = build_system([f"q{i}" for i in range(8)], tables)
-        problem = build_feasibility_problem(system, ME)
+        problem = build_joint_problem(system, ME)
         assert problem.matrix.shape == (7 * 4 + 6 + 1, 1 << 14)
-        assert not isinstance(problem.matrix, np.ndarray)
         verdict = decide(system, ME)
         assert verdict.feasible  # tree-shaped systems always admit a coupling
         assert verdict.max_constraint_violation <= 1e-7
+
+    @pytest.mark.parametrize("n", [9, 10])
+    @pytest.mark.parametrize("contextual", [True, False])
+    @pytest.mark.parametrize(
+        "constraint,consistent", [(ME, False), (EA, True)], ids=["ME", "EA"]
+    )
+    def test_cycle_matches_criterion(self, n, contextual, constraint, consistent, rng):
+        # m = 2n = 18 and 20: draws with the wanted verdict, at least 1e-3
+        # away from the criterion boundary.
+        while True:
+            system = random_cycle(rng, n, consistent)
+            margin = cyclic_criterion_margin(system, constraint)
+            if (margin < -1e-3) if contextual else (margin > 1e-3):
+                break
+        verdict = decide(system, constraint)
+        assert verdict.feasible is not contextual
+        if verdict.feasible:
+            assert_witness_reproduces(system, constraint, verdict.witness)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_chain_always_has_a_maximal_coupling(self, n, rng):
+        system = random_chain(rng, n)
+        verdict = decide(system, ME)
+        assert verdict.feasible
+        assert_witness_reproduces(system, ME, verdict.witness)
+        # Dirichlet tables are inconsistently connected: no pair can be
+        # equal always.
+        assert not consistency(system).consistently_connected
+        assert not decide(system, EA).feasible
 
     def test_invalid_system_rejected_up_front(self):
         from cbdsys import ValidationError

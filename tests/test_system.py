@@ -53,6 +53,14 @@ class TestValidateSystem:
             if not math.isfinite(v)
         ]
 
+    def test_huge_entries_reported_without_summing(self):
+        # fsum overflows on 1e308 + 1e308; each out-of-range entry is named
+        # and the sum is left unchecked.
+        violations = validate_system(coin_system([1e308, 1e308]))
+        assert violations == [
+            f"bunch for context 'c' entry {i} exceeds 1 (1e+308)" for i in range(2)
+        ]
+
     def test_dangling_content_reference(self):
         system = build_system(["q"], [("c", ["q", "ghost"], [0.25] * 4)])
         assert any("undeclared content 'ghost'" in v for v in validate_system(system))
