@@ -15,9 +15,15 @@ and 2; one function, ``_finish``, renders every report and exits with its
 verdict's code.
 
 CBD_LOG=<level> (a standard level name such as debug) sends log records of
-that level and above to stderr, prefixed with level and logger name.  The
-only log record is the sweep's per-draw disagreement warning, which reaches
-stderr as a bare message even without CBD_LOG.
+that level and above to stderr, prefixed with level and logger name.  There
+are two: CBD_LOG=debug shows one record per LP solve (``decide``: variable
+count, cliques, LP size, loose and tight solves, verdict), and the sweep's
+per-draw disagreement warning reaches stderr as a bare message even without
+CBD_LOG.
+
+scipy is loaded only by an LP solve (``analyze --method lp/both``, ``analyze``
+on a system with no closed form, ``double-slit``); ``--version``, ``qq``,
+closed-form ``analyze`` and every input error never import it.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from .errors import (
     RankError,
     SolverError,
 )
-from .fileio import parse_system_text
+from .fileio import parse_system
 from .report import (
     CONTEXTUAL,
     NONCONTEXTUAL,
@@ -160,7 +166,7 @@ def cli() -> None:
 def analyze(input_stream, constraint: str, method: str, output: str, witness: bool):
     """Decide whether the system in a file is contextual."""
     want = _CONSTRAINTS[constraint]
-    system = parse_system_text(input_stream.read())
+    system = parse_system(input_stream)
     layout = detect_cyclic(system)
     run_closed = method in ("closed-form", "both")
     run_lp = method in ("lp", "both")
@@ -288,7 +294,7 @@ def _double_slit_sweep(sweep: int, seed: int, output: str) -> NoReturn:
               show_default=True)
 def qq(input_stream, output: str):
     """Question-order diagnostics: QQ statistic plus the rank-2 criterion."""
-    system = parse_system_text(input_stream.read())
+    system = parse_system(input_stream)
     layout = detect_cyclic(system)
     if layout is None or layout.rank != 2:
         raise RankError("qq needs a cyclic system of rank 2")

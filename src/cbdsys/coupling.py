@@ -32,19 +32,27 @@ clique tables are glued into the full 2**m joint (product of clique tables
 over separator tables), and the joint is checked against every row by
 enumeration before it is returned as the witness.  M_MAX bounds the size of
 that dense witness.
+
+scipy is imported on the first LP solve, not with this module: importing
+``scipy.optimize`` takes about 0.6 s on a 2-core VM, several times a whole
+closed-form CLI run, so code that never calls :func:`decide` never loads it.
+Each :func:`decide` logs one debug record (variable count, cliques, LP size,
+loose and tight solves, verdict) on this module's logger.
 """
 
 from __future__ import annotations
 
 import enum
+import logging
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import ConnectionSizeError, SolverError, SystemSizeError
 from .system import EPS_FEAS, System, connections, require_valid
+
+log = logging.getLogger(__name__)
 
 #: Hard cap on the total variable count: the witness is a dense joint
 #: distribution over 2**M_MAX assignments.
@@ -335,6 +343,8 @@ def _solve_min_max_violation(
     Returns (t*, x*): the distance to feasibility in the max norm and the
     clique tables attaining it.
     """
+    from scipy.optimize import linprog
+
     k = problem.elastic_rows
     E, b = problem.matrix[:k], problem.rhs[:k]
     S = problem.matrix[k:]
@@ -428,9 +438,18 @@ def decide(system: System, constraint: CouplingConstraint) -> FeasibilityVerdict
     """
     marg = _marginals(system, constraint)
     problem = _clique_problem(marg)
-    t, x = _solve_min_max_violation(problem, tight=False)
-    if TIGHT_TOL < t <= EPS_FEAS:
+    loose_t, x = _solve_min_max_violation(problem, tight=False)
+    t = loose_t
+    retightened = TIGHT_TOL < t <= EPS_FEAS
+    if retightened:
         t, x = _solve_min_max_violation(problem, tight=True)
+    log.debug(
+        "decide: m=%d, %d cliques, LP %d x %d, loose t=%.3g,"
+        " tight re-solve %s, t=%.3g -> %s",
+        problem.num_variables, len(problem.cliques), *problem.matrix.shape,
+        loose_t, "ran" if retightened else "not run", t,
+        "infeasible" if t > EPS_FEAS else "feasible",
+    )
     if t > EPS_FEAS:
         return FeasibilityVerdict(
             feasible=False, witness=None, max_constraint_violation=t

@@ -143,26 +143,35 @@ def _probs_from_outcome_map(
 def _as_number(value: Any, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ParseError(f"{what} is too large for a float") from exc
 
 
 def parse_system(source: str | Path | IO[str]) -> System:
     """Read and validate a system file (path, or open text stream).
 
-    Raises ParseError for malformed documents and ValidationError, listing
-    every violation, for structurally broken systems.
+    Raises ParseError for undecodable or malformed documents and
+    ValidationError, listing every violation, for structurally broken systems.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            text = Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot decode input: {exc}") from exc
     return parse_system_text(text)
 
 
 def parse_system_text(text: str) -> System:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Besides JSONDecodeError (a ValueError), json.loads raises ValueError
+        # for integers longer than sys.get_int_max_str_digits() and, as it
+        # recurses once per nesting level, RecursionError for deep nesting.
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")

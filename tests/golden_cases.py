@@ -167,6 +167,18 @@ CASES: tuple[GoldenCase, ...] = (
         stderr_contains="entry 1 exceeds 1 (1e+308)",
     ),
     GoldenCase(
+        name="non_utf8",
+        args=("analyze", "--input", "non_utf8.json"),
+        exit_code=1,
+        stderr_contains="cannot decode input: 'utf-8' codec can't decode byte 0xff",
+    ),
+    GoldenCase(
+        name="qq_non_utf8",
+        args=("qq", "--input", "non_utf8.json"),
+        exit_code=1,
+        stderr_contains="cannot decode input: 'utf-8' codec can't decode byte 0xff",
+    ),
+    GoldenCase(
         name="nonbinary_values",
         args=("analyze", "--input", "nonbinary_values.json"),
         exit_code=1,

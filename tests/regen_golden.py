@@ -104,6 +104,11 @@ def build_inputs() -> None:
   ]
 }
 """)
+    # A valid system saved as UTF-16 with a byte-order mark (bytes ff fe),
+    # which is not UTF-8 text.
+    (INPUT_DIR / "non_utf8.json").write_bytes(
+        ("\ufeff" + (INPUT_DIR / "qq_identical.json").read_text(encoding="utf-8"))
+        .encode("utf-16-le"))
     write(INPUT_DIR / "nonbinary_values.json", """\
 {
   "contents": [{"id": "q"}],

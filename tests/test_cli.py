@@ -1,6 +1,7 @@
 """cli-io: exit-code contract, golden reports, text/json number identity."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -206,3 +207,66 @@ def test_sweep_disagreements_exit_two_and_keep_counts(monkeypatch):
     assert list(doc)[-2:] == ["verdict", "engine"]
     assert result.stderr.splitlines()[-1] == (
         "error: 3 closed-form/LP disagreements")
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+loaded = ["scipy" in sys.modules]
+import cbdsys
+loaded.append("scipy" in sys.modules)
+import cbdsys.cli
+loaded.append("scipy" in sys.modules)
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cbdsys.cli.main(argv)
+        except SystemExit as exc:
+            codes.append(exc.code)
+    loaded.append("scipy" in sys.modules)
+print(json.dumps({"loaded": loaded, "codes": codes}))
+"""
+
+
+def test_scipy_loads_only_for_an_lp_solve():
+    # A fresh interpreter: this process has imported scipy already.
+    invocations = [
+        ["--version"],
+        ["analyze", "--input", str(INPUT_DIR / "bell_pr_box.json")],
+        ["qq", "--input", str(INPUT_DIR / "qq_unequal_marginals.json")],
+        ["analyze", "--input", str(INPUT_DIR / "bad_sum.json")],
+        ["analyze", "--input", str(INPUT_DIR / "bell_pr_box.json"),
+         "--method", "lp"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(invocations)],
+        capture_output=True, text=True, check=True,
+    )
+    doc = json.loads(proc.stdout)
+    assert doc["codes"] == [0, 3, 0, 1, 3]
+    # Before any import, after `import cbdsys`, after `import cbdsys.cli`,
+    # then after each invocation: only the last one solves an LP.
+    assert doc["loaded"] == [False] * 7 + [True]
+
+
+def _run_entry_point(args, **env):
+    base = {k: v for k, v in os.environ.items() if k != "CBD_LOG"}
+    return subprocess.run(
+        [sys.executable, "-m", "cbdsys.cli", *args],
+        capture_output=True, text=True, env={**base, **env},
+    )
+
+
+def test_cbd_log_debug_prints_the_decide_record():
+    args = ("analyze", "--input", str(INPUT_DIR / "bell_pr_box.json"),
+            "--method", "lp")
+    quiet = _run_entry_point(args)
+    loud = _run_entry_point(args, CBD_LOG="debug")
+    assert quiet.returncode == loud.returncode == 3
+    assert quiet.stdout == loud.stdout
+    assert quiet.stderr == ""
+    assert loud.stderr.splitlines() == [
+        "DEBUG:cbdsys.coupling:decide: m=8, 6 cliques, LP 41 x 48,"
+        " loose t=0.0667, tight re-solve not run, t=0.0667 -> infeasible"
+    ]

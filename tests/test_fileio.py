@@ -36,6 +36,20 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_system_text("{not json")
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000,  # json.loads raises RecursionError this deep
+        '{"contents": [], "contexts": [], "x": 1' + "0" * 5000 + "}",
+    ], ids=["deep_nesting", "5001_digit_integer"])
+    def test_unparseable_json_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="not valid JSON"):
+            parse_system_text(text)
+
+    def test_integer_too_large_for_a_float(self):
+        doc = json.loads(RANK2_DOC)
+        doc["contexts"][0]["probs"][0] = 10**400
+        with pytest.raises(ParseError, match="too large for a float"):
+            parse_system_text(json.dumps(doc))
+
     def test_missing_sections(self):
         with pytest.raises(ParseError):
             parse_system_text('{"contents": []}')
