@@ -26,18 +26,26 @@ On a clique tree, locally consistent tables always extend to a global joint
 (Vorob'ev 1962; Abramsky & Brandenburger, NJP 13, 2011), so the LP's optimum
 is exactly the distance to feasibility over all 2**m joint assignments.
 
-:func:`decide` solves one elastic LP with scipy's HiGHS backend, minimizing
-the largest absolute constraint violation.  When that distance is ~0 the
-clique tables are glued into the full 2**m joint (product of clique tables
-over separator tables), and the joint is checked against every row by
-enumeration before it is returned as the witness.  M_MAX bounds the size of
-that dense witness.
+:func:`decide` solves one elastic LP, minimizing the largest absolute
+constraint violation, by calling HiGHS directly through scipy's bindings
+(``scipy.optimize._highspy``): dual simplex after presolve, a fresh solver
+for every solve.  When that distance is ~0 the clique tables are glued into
+the full 2**m joint (product of clique tables over separator tables), and the
+joint is checked against every row by enumeration before it is returned as
+the witness.  M_MAX bounds the size of that dense witness.
+
+Only the right-hand side and the row names depend on a system's
+probabilities and ids.  The triangulation, clique tree, matrix and HiGHS
+column arrays depend only on its *shape* (variable count, bunch positions,
+connection-pair positions), so they are built once per shape and kept in a
+bounded cache: a sweep over one scenario builds its LP once.
 
 scipy is imported on the first LP solve, not with this module: importing
 ``scipy.optimize`` takes about 0.6 s on a 2-core VM, several times a whole
 closed-form CLI run, so code that never calls :func:`decide` never loads it.
 Each :func:`decide` logs one debug record (variable count, cliques, LP size,
-loose and tight solves, verdict) on this module's logger.
+loose and tight solves with their HiGHS model status and simplex iteration
+count, verdict) on this module's logger.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -59,9 +68,13 @@ log = logging.getLogger(__name__)
 M_MAX = 20
 
 #: Violations below this are treated as exactly feasible; between this and
-#: EPS_FEAS the verdict is re-solved at tightened tolerance and flagged
-#: "boundary" if still ambiguous.
+#: EPS_FEAS the verdict is re-solved with this primal and dual feasibility
+#: tolerance and flagged "boundary" if still ambiguous.
 TIGHT_TOL = 1e-10
+
+#: Distinct system shapes (variable count, bunch and pair positions) whose
+#: clique-tree LP is kept for reuse.
+SHAPE_CACHE_SIZE = 32
 
 
 class CouplingConstraint(enum.Enum):
@@ -91,6 +104,28 @@ def max_equality_probability(a: float, b: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
+class _Shape:
+    """The part of the clique-tree LP that depends only on where each bunch
+    and connection pair sits: everything of a FeasibilityProblem except its
+    right-hand side and names, plus the min-max LP handed to HiGHS.
+
+    The min-max LP's columns are the clique tables and then t; its rows are
+    E x - t <= rhs and -E x - t <= -rhs over the elastic rows E, then the
+    separator rows.  It is stored column-wise as (lp_start, lp_index,
+    lp_value), in tuples because HiGHS's bindings read those fastest.
+    """
+
+    cliques: tuple[tuple[int, ...], ...]
+    tree: tuple[tuple[int, int], ...]
+    matrix: np.ndarray
+    elastic_rows: int
+    separator_labels: tuple[str, ...]
+    lp_start: tuple[int, ...]
+    lp_index: tuple[int, ...]
+    lp_value: tuple[float, ...]
+
+
+@dataclass(frozen=True, eq=False)
 class FeasibilityProblem:
     """The clique-tree LP over clique tables x >= 0.
 
@@ -106,19 +141,37 @@ class FeasibilityProblem:
     entry of every context, one agreement probability per two-member
     connection, and total mass one.  The remaining rows (right-hand side 0)
     make each tree edge's two cliques agree on their separator.
+
+    ``cliques``, ``tree``, ``matrix`` and ``elastic_rows`` belong to the
+    system's shape and are shared by every system of that shape (``matrix``
+    is read-only); ``variables``, ``rhs`` and ``row_labels`` are this
+    system's own.
     """
 
     variables: tuple[tuple[str, str], ...]
-    cliques: tuple[tuple[int, ...], ...]
-    tree: tuple[tuple[int, int], ...]
-    matrix: np.ndarray
+    shape: _Shape
     rhs: np.ndarray
     row_labels: tuple[str, ...]
-    elastic_rows: int
 
     @property
     def num_variables(self) -> int:
         return len(self.variables)
+
+    @property
+    def cliques(self) -> tuple[tuple[int, ...], ...]:
+        return self.shape.cliques
+
+    @property
+    def tree(self) -> tuple[tuple[int, int], ...]:
+        return self.shape.tree
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.shape.matrix
+
+    @property
+    def elastic_rows(self) -> int:
+        return self.shape.elastic_rows
 
 
 @dataclass(frozen=True)
@@ -265,13 +318,19 @@ def _separator(cliques, edge: tuple[int, int]) -> tuple[int, ...]:
     return tuple(sorted(set(cliques[parent]) & set(cliques[child])))
 
 
-def _clique_problem(marg: _Marginals) -> FeasibilityProblem:
-    """Assemble the clique-tree LP for the given marginal constraints."""
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _shape(
+    m: int,
+    bunch_positions: tuple[tuple[int, ...], ...],
+    pair_positions: tuple[tuple[int, int], ...],
+) -> _Shape:
+    """Triangulate, build the clique tree and assemble the LP matrix for
+    bunches and connection pairs at the given variable positions."""
     edges = [
-        edge for _, positions, _ in marg.bunches for edge in combinations(positions, 2)
+        edge for positions in bunch_positions for edge in combinations(positions, 2)
     ]
-    edges += [(u, v) for _, u, v, _ in marg.pairs]
-    cliques = _triangulate(len(marg.variables), edges)
+    edges += list(pair_positions)
+    cliques = _triangulate(m, edges)
     tree = _clique_tree(cliques)
     offsets = np.cumsum([0] + [1 << len(c) for c in cliques])
 
@@ -289,37 +348,66 @@ def _clique_problem(marg: _Marginals) -> FeasibilityProblem:
     def holder(positions) -> int:
         return next(i for i, c in enumerate(cliques) if set(positions) <= set(c))
 
-    blocks: list[np.ndarray] = []
-    rhs: list[float] = []
-    labels: list[str] = []
-    for ctx_id, positions, probs in marg.bunches:
-        blocks.append(marginal_rows(holder(positions), positions))
-        rhs.extend(probs)
-        labels.extend(f"bunch[{ctx_id}][{a}]" for a in range(len(probs)))
-    for label, u, v, target in marg.pairs:
+    blocks = [marginal_rows(holder(positions), positions) for positions in bunch_positions]
+    for u, v in pair_positions:
         rows = marginal_rows(holder((u, v)), (u, v))
         blocks.append(rows[[0]] + rows[[3]])  # both -1 or both +1
-        rhs.append(target)
-        labels.append(label)
     blocks.append(marginal_rows(0, ()))
-    rhs.append(1.0)
-    labels.append("mass")
-    elastic_rows = len(rhs)
+    elastic_rows = sum(len(block) for block in blocks)
 
+    separator_labels: list[str] = []
     for parent, child in tree:
         sep = _separator(cliques, (parent, child))
         blocks.append(marginal_rows(parent, sep) - marginal_rows(child, sep))
-        rhs.extend([0.0] * (1 << len(sep)))
-        labels.extend(f"separator[{parent}-{child}][{s}]" for s in range(1 << len(sep)))
+        separator_labels.extend(
+            f"separator[{parent}-{child}][{s}]" for s in range(1 << len(sep))
+        )
+    matrix = np.vstack(blocks)
+    matrix.flags.writeable = False
 
-    return FeasibilityProblem(
-        variables=marg.variables,
+    k, n = elastic_rows, matrix.shape[1]
+    lp = np.zeros((k + len(matrix), n + 1))
+    lp[:k, :n] = matrix[:k]
+    lp[k:2 * k, :n] = -matrix[:k]
+    lp[:2 * k, n] = -1.0
+    lp[2 * k:, :n] = matrix[k:]
+    columns, rows = np.nonzero(lp.T)
+    return _Shape(
         cliques=tuple(cliques),
         tree=tuple(tree),
-        matrix=np.vstack(blocks),
-        rhs=np.array(rhs, dtype=np.float64),
-        row_labels=tuple(labels),
+        matrix=matrix,
         elastic_rows=elastic_rows,
+        separator_labels=tuple(separator_labels),
+        lp_start=tuple(np.searchsorted(columns, np.arange(n + 2)).tolist()),
+        lp_index=tuple(rows.tolist()),
+        lp_value=tuple(lp.T[columns, rows].tolist()),
+    )
+
+
+def _clique_problem(marg: _Marginals) -> FeasibilityProblem:
+    """The clique-tree LP for the given marginal constraints: the cached
+    shape with this system's right-hand side and row names."""
+    shape = _shape(
+        len(marg.variables),
+        tuple(positions for _, positions, _ in marg.bunches),
+        tuple((u, v) for _, u, v, _ in marg.pairs),
+    )
+    rhs: list[float] = []
+    labels: list[str] = []
+    for ctx_id, _, probs in marg.bunches:
+        rhs.extend(probs)
+        labels.extend(f"bunch[{ctx_id}][{a}]" for a in range(len(probs)))
+    for label, _, _, target in marg.pairs:
+        rhs.append(target)
+        labels.append(label)
+    rhs.append(1.0)
+    labels.append("mass")
+    rhs.extend([0.0] * len(shape.separator_labels))
+    return FeasibilityProblem(
+        variables=marg.variables,
+        shape=shape,
+        rhs=np.array(rhs, dtype=np.float64),
+        row_labels=tuple(labels) + shape.separator_labels,
     )
 
 
@@ -334,38 +422,70 @@ def build_feasibility_problem(
     return _clique_problem(_marginals(system, constraint))
 
 
-def _solve_min_max_violation(
-    problem: FeasibilityProblem, tight: bool
-) -> tuple[float, np.ndarray]:
-    """Minimize t subject to |E x - rhs| <= t on every elastic row, exact
-    separator agreement, and x >= 0.
+@dataclass(frozen=True)
+class _Solve:
+    """One HiGHS run on the min-max LP: t*, the clique tables x* attaining
+    it, and how the run ended."""
 
-    Returns (t*, x*): the distance to feasibility in the max norm and the
-    clique tables attaining it.
-    """
-    from scipy.optimize import linprog
+    t: float
+    x: np.ndarray
+    status: str
+    iterations: int
 
-    k = problem.elastic_rows
-    E, b = problem.matrix[:k], problem.rhs[:k]
-    S = problem.matrix[k:]
-    ones = np.ones((k, 1))
-    A_ub = np.block([[E, -ones], [-E, -ones]])
-    b_ub = np.concatenate([b, -b])
-    A_eq = np.hstack([S, np.zeros((len(S), 1))])
-    b_eq = problem.rhs[k:]
-    c = np.zeros(E.shape[1] + 1)
-    c[-1] = 1.0
-    options = {"presolve": True}
+
+@lru_cache(maxsize=2)
+def _highs_options(tight: bool):
+    """HiGHS options for the min-max LP: presolve, dual simplex, no output,
+    and TIGHT_TOL primal and dual feasibility tolerances when ``tight``."""
+    from scipy.optimize._highspy import _core as highspy
+
+    options = highspy.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = highspy.kHighsDebugLevelNone
+    options.output_flag = options.log_to_console = False
     if tight:
-        options["primal_feasibility_tolerance"] = 1e-10
-        options["dual_feasibility_tolerance"] = 1e-10
-    res = linprog(
-        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
-        method="highs", options=options,
-    )
-    if res.status != 0:
-        raise SolverError(f"LP solver failed (status {res.status}): {res.message}")
-    return float(res.x[-1]), res.x[:-1]
+        options.primal_feasibility_tolerance = TIGHT_TOL
+        options.dual_feasibility_tolerance = TIGHT_TOL
+    return options
+
+
+def _solve_min_max_violation(problem: FeasibilityProblem, tight: bool) -> _Solve:
+    """Minimize t subject to |E x - rhs| <= t on every elastic row, exact
+    separator agreement, and x >= 0.  Each call runs a fresh HiGHS
+    instance, so no basis carries over from an earlier system.
+
+    Returns t*, the distance to feasibility in the max norm, and the clique
+    tables attaining it.
+    """
+    from scipy.optimize._highspy import _core as highspy
+
+    shape = problem.shape
+    k, n = shape.elastic_rows, len(shape.lp_start) - 1
+    b, b_eq = problem.rhs[:k].tolist(), problem.rhs[k:].tolist()
+    lp = highspy.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = 2 * k + len(b_eq)
+    lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = shape.lp_start
+    lp.a_matrix_.index_ = shape.lp_index
+    lp.a_matrix_.value_ = shape.lp_value
+    lp.col_cost_ = [0.0] * (n - 1) + [1.0]
+    lp.col_lower_ = [0.0] * n
+    lp.col_upper_ = [highspy.kHighsInf] * n
+    lp.row_lower_ = [-highspy.kHighsInf] * (2 * k) + b_eq
+    lp.row_upper_ = b + [-v for v in b] + b_eq
+
+    highs = highspy._Highs()
+    highs.passOptions(_highs_options(tight))
+    highs.passModel(lp)
+    highs.run()
+    status = highs.getModelStatus()
+    name = highs.modelStatusToString(status)
+    if status != highspy.HighsModelStatus.kOptimal:
+        raise SolverError(f"LP solver failed: HiGHS model status {name!r}")
+    x = np.array(highs.getSolution().col_value)
+    return _Solve(float(x[-1]), x[:-1], name, highs.getInfo().simplex_iteration_count)
 
 
 def _joint(problem: FeasibilityProblem, x: np.ndarray) -> np.ndarray:
@@ -438,23 +558,25 @@ def decide(system: System, constraint: CouplingConstraint) -> FeasibilityVerdict
     """
     marg = _marginals(system, constraint)
     problem = _clique_problem(marg)
-    loose_t, x = _solve_min_max_violation(problem, tight=False)
-    t = loose_t
-    retightened = TIGHT_TOL < t <= EPS_FEAS
+    loose = solve = _solve_min_max_violation(problem, tight=False)
+    retightened = TIGHT_TOL < loose.t <= EPS_FEAS
     if retightened:
-        t, x = _solve_min_max_violation(problem, tight=True)
+        solve = _solve_min_max_violation(problem, tight=True)
+    t = solve.t
     log.debug(
-        "decide: m=%d, %d cliques, LP %d x %d, loose t=%.3g,"
-        " tight re-solve %s, t=%.3g -> %s",
+        "decide: m=%d, %d cliques, LP %d x %d, loose t=%.3g (%s, %d simplex"
+        " iterations), tight re-solve %s, t=%.3g -> %s",
         problem.num_variables, len(problem.cliques), *problem.matrix.shape,
-        loose_t, "ran" if retightened else "not run", t,
-        "infeasible" if t > EPS_FEAS else "feasible",
+        loose.t, loose.status, loose.iterations,
+        f"ran ({solve.status}, {solve.iterations} simplex iterations)"
+        if retightened else "not run",
+        t, "infeasible" if t > EPS_FEAS else "feasible",
     )
     if t > EPS_FEAS:
         return FeasibilityVerdict(
             feasible=False, witness=None, max_constraint_violation=t
         )
-    joint = _joint(problem, x)
+    joint = _joint(problem, solve.x)
     violation = _enumeration_violation(marg, joint)
     if violation > EPS_FEAS:
         raise SolverError(
@@ -462,7 +584,7 @@ def decide(system: System, constraint: CouplingConstraint) -> FeasibilityVerdict
         )
     return FeasibilityVerdict(
         feasible=True,
-        witness=CouplingWitness(problem.variables, tuple(joint.tolist())),
+        witness=CouplingWitness(marg.variables, tuple(joint.tolist())),
         max_constraint_violation=violation,
         boundary=t > TIGHT_TOL,
     )

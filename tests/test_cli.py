@@ -169,6 +169,32 @@ def test_solver_error_exits_two(monkeypatch, args):
     assert result.stderr.splitlines() == ["error: solver gave up"]
 
 
+def test_non_optimal_highs_status_exits_two(monkeypatch):
+    from scipy.optimize._highspy import _core
+
+    real = _core._Highs
+
+    class Stalled:
+        """A HiGHS instance that reports running out of iterations."""
+
+        def __init__(self):
+            self._highs = real()
+
+        def __getattr__(self, name):
+            return getattr(self._highs, name)
+
+        def getModelStatus(self):
+            return _core.HighsModelStatus.kIterationLimit
+
+    monkeypatch.setattr(_core, "_Highs", Stalled)
+    result = _invoke(("analyze", "--input", str(INPUT_DIR / "bell_mixed.json"),
+                      "--method", "lp"))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: LP solver failed: HiGHS model status 'Iteration limit reached'"]
+
+
 def _contradicting_decide(system, constraint):
     # Every system used below is noncontextual, so "infeasible" contradicts
     # the closed form.
@@ -268,5 +294,6 @@ def test_cbd_log_debug_prints_the_decide_record():
     assert quiet.stderr == ""
     assert loud.stderr.splitlines() == [
         "DEBUG:cbdsys.coupling:decide: m=8, 6 cliques, LP 41 x 48,"
-        " loose t=0.0667, tight re-solve not run, t=0.0667 -> infeasible"
+        " loose t=0.0667 (Optimal, 45 simplex iterations),"
+        " tight re-solve not run, t=0.0667 -> infeasible"
     ]

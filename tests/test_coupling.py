@@ -27,6 +27,7 @@ from cbdsys import (
     max_equality_probability,
     witness_violation,
 )
+from cbdsys.coupling import SHAPE_CACHE_SIZE, _shape
 from helpers import (
     brute_force_decide,
     build_joint_problem,
@@ -202,6 +203,76 @@ class TestDecide:
             verdict = decide(system, ME)
             if verdict.feasible:
                 assert witness_violation(system, ME, verdict.witness) <= EPS_FEAS
+
+
+def _tagged(system, tag):
+    """The same shape with every content and context id suffixed by ``tag``."""
+    return build_system(
+        [f"{c.id}{tag}" for c in system.contents],
+        [
+            (f"{ctx.id}{tag}", [f"{q}{tag}" for q in ctx.contents],
+             system.bunch(ctx.id).probs)
+            for ctx in system.contexts
+        ],
+    )
+
+
+class TestShapeCache:
+    # Two noncontextual rank-4 systems of one shape, with different
+    # probabilities and different content and context ids.
+    A = build_bell((0.3, 0.2, 0.1, -0.1), [0.1, 0.0, 0.2, -0.1, 0.0, 0.1, -0.2, 0.1])
+    B = _tagged(build_bell((-0.4, 0.5, 0.2, 0.3), [0.0] * 8), "'")
+
+    def test_alternating_systems_keep_their_own_witness(self):
+        cold = {}
+        for name, system in (("A", self.A), ("B", self.B)):
+            _shape.cache_clear()
+            verdict = decide(system, ME)
+            cold[name] = (verdict.max_constraint_violation, verdict.witness.probs)
+        _shape.cache_clear()
+        for name, system in (("A", self.A), ("B", self.B), ("A", self.A)):
+            verdict = decide(system, ME)
+            assert verdict.feasible
+            assert verdict.witness.variables == coupling_variables(system)
+            assert (verdict.max_constraint_violation, verdict.witness.probs) == cold[name]
+            assert witness_violation(system, ME, verdict.witness) <= EPS_FEAS
+        info = _shape.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_problem_carries_its_own_rhs_and_names(self):
+        a = build_feasibility_problem(self.A, ME)
+        b = build_feasibility_problem(self.B, ME)
+        assert a.matrix is b.matrix
+        for system, problem in ((self.A, a), (self.B, b)):
+            joint = build_joint_problem(system, ME)
+            k = problem.elastic_rows
+            assert problem.variables == joint.variables
+            assert problem.row_labels[:k] == joint.row_labels
+            assert np.array_equal(problem.rhs[:k], joint.rhs)
+            assert not problem.rhs[k:].any()
+        assert a.row_labels[a.elastic_rows:] == b.row_labels[b.elastic_rows:]
+
+    def test_shared_matrix_is_read_only(self):
+        problem = build_feasibility_problem(self.A, ME)
+        assert problem.matrix.flags.writeable is False
+        with pytest.raises(ValueError):
+            problem.matrix[0, 0] = 2.0
+
+    def test_cache_is_bounded(self, rng):
+        assert _shape.cache_info().maxsize == SHAPE_CACHE_SIZE > 0
+        _shape.cache_clear()
+        while _shape.cache_info().misses <= SHAPE_CACHE_SIZE:
+            build_feasibility_problem(random_small_system(rng, 12), ME)
+        assert _shape.cache_info().currsize == SHAPE_CACHE_SIZE
+
+
+def test_highs_bindings_are_present():
+    # decide calls these private scipy bindings directly; pyproject.toml
+    # pins a scipy that ships them.
+    from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, _Highs
+
+    assert HighsLp().num_col_ == 0
+    assert _Highs().modelStatusToString(HighsModelStatus.kOptimal) == "Optimal"
 
 
 class TestBruteForceDecide:
