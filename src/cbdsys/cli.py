@@ -17,10 +17,10 @@ verdict's code.
 CBD_LOG=<level> (a standard level name such as debug) sends log records of
 that level and above to stderr, prefixed with level and logger name.  There
 are two: CBD_LOG=debug shows one record per LP solve (``decide``: variable
-count, cliques, LP size, the loose solve's t with its HiGHS model status and
-simplex iteration count, whether the tight re-solve ran and with what status
-and iteration count, verdict), and the sweep's per-draw disagreement
-warning reaches stderr as a bare message even without CBD_LOG.
+count, cliques, rows x columns of the CNT1 LP, HiGHS model status, simplex
+iteration count, degree of contextuality, verdict), and the sweep's
+per-draw disagreement warning reaches stderr as a bare message even without
+CBD_LOG.
 
 scipy is loaded only by an LP solve (``analyze --method lp/both``, ``analyze``
 on a system with no closed form, ``double-slit``); ``--version``, ``qq``,

@@ -24,36 +24,48 @@ enumerates the 2**m joint assignments (m = total variable count) in the LP:
 
 On a clique tree, locally consistent tables always extend to a global joint
 (Vorob'ev 1962; Abramsky & Brandenburger, NJP 13, 2011), so the LP's optimum
-is exactly the distance to feasibility over all 2**m joint assignments.
+is exactly the optimum over all 2**m joint assignments.
 
-:func:`decide` solves one elastic LP, minimizing the largest absolute
-constraint violation, by calling HiGHS directly through scipy's bindings
-(``scipy.optimize._highspy``): dual simplex after presolve, a fresh solver
-for every solve.  When that distance is ~0 the clique tables are glued into
-the full 2**m joint (product of clique tables over separator tables), and the
-joint is checked against every row by enumeration before it is returned as
-the witness.  M_MAX bounds the size of that dense witness.
+Every bunch entry, the total mass and every separator row is a hard
+equality, and the connection pairs enter only the objective: :func:`decide`
+maximizes the sum of Pr[pair equal] over all couplings of the bunches, the
+CNT1 LP of Kujala & Dzhafarov, "Measures of contextuality and
+non-contextuality", Phil. Trans. R. Soc. A 377 (2019).  The deficit is the
+sum of the pairs' targets minus that maximum, and the *degree* of
+contextuality is twice the deficit (clamped at 0): for cyclic systems it
+equals the criterion excess s_odd - (n - 2) - sum of gaps in expectation
+units (Dzhafarov, Kujala & Cervantes, PRA 101, 042119, 2020), so both routes
+compare one number with EPS_FEAS.  The LP always has a solution, since the
+product of the bunches is a coupling, and one HiGHS run decides it: called
+directly through scipy's bindings (``scipy.optimize._highspy``), dual
+simplex without presolve at TIGHT_TOL tolerances, a fresh solver for every
+solve.  When the degree is at most EPS_FEAS the clique tables are glued
+into the full 2**m joint (product of clique tables over separator tables),
+and the joint is checked against every bunch, equal and mass row by
+enumeration before it is returned as the witness.  M_MAX bounds the size of
+that dense witness.
 
 Only the right-hand side and the row names depend on a system's
-probabilities and ids.  The triangulation, clique tree, matrix and HiGHS
-column arrays depend only on its *shape* (variable count, bunch positions,
+probabilities and ids.  The triangulation, clique tree and HiGHS column
+arrays and costs depend only on its *shape* (variable count, bunch positions,
 connection-pair positions), so they are built once per shape and kept in a
 bounded cache: a sweep over one scenario builds its LP once.
 
 scipy is imported on the first LP solve, not with this module: importing
 ``scipy.optimize`` takes about 0.6 s on a 2-core VM, several times a whole
 closed-form CLI run, so code that never calls :func:`decide` never loads it.
-Each :func:`decide` logs one debug record (variable count, cliques, LP size,
-loose and tight solves with their HiGHS model status and simplex iteration
-count, verdict) on this module's logger.
+Each :func:`decide` logs one debug record (variable count, cliques, CNT1 LP
+rows x columns, HiGHS model status, simplex iteration count, degree,
+verdict) on this module's logger.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -67,9 +79,8 @@ log = logging.getLogger(__name__)
 #: distribution over 2**M_MAX assignments.
 M_MAX = 20
 
-#: Violations below this are treated as exactly feasible; between this and
-#: EPS_FEAS the verdict is re-solved with this primal and dual feasibility
-#: tolerance and flagged "boundary" if still ambiguous.
+#: HiGHS primal and dual feasibility tolerance, 100x tighter than EPS_FEAS.
+#: A degree above it but at most EPS_FEAS is feasible and flagged "boundary".
 TIGHT_TOL = 1e-10
 
 #: Distinct system shapes (variable count, bunch and pair positions) whose
@@ -107,22 +118,40 @@ def max_equality_probability(a: float, b: float) -> float:
 class _Shape:
     """The part of the clique-tree LP that depends only on where each bunch
     and connection pair sits: everything of a FeasibilityProblem except its
-    right-hand side and names, plus the min-max LP handed to HiGHS.
+    right-hand side and names, plus the CNT1 LP handed to HiGHS.
 
-    The min-max LP's columns are the clique tables and then t; its rows are
-    E x - t <= rhs and -E x - t <= -rhs over the elastic rows E, then the
-    separator rows.  It is stored column-wise as (lp_start, lp_index,
-    lp_value), in tuples because HiGHS's bindings read those fastest.
+    ``entries`` holds the problem matrix's nonzeros as (rows, columns,
+    values); ``pair_rows`` are its connection-pair rows.  The CNT1 LP keeps
+    every other row as a hard equality, in the same order, and minimizes
+    ``lp_cost``, which is minus the sum of the pair rows, over columns
+    bounded by ``lp_lower`` and ``lp_upper``.  Its constraint matrix is
+    stored column-wise as (lp_start, lp_index, lp_value), in tuples because
+    HiGHS's bindings read those fastest; only the row bounds vary per call.
     """
 
     cliques: tuple[tuple[int, ...], ...]
     tree: tuple[tuple[int, int], ...]
-    matrix: np.ndarray
     elastic_rows: int
+    pair_rows: slice
     separator_labels: tuple[str, ...]
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray]
     lp_start: tuple[int, ...]
     lp_index: tuple[int, ...]
     lp_value: tuple[float, ...]
+    lp_cost: tuple[float, ...]
+    lp_lower: tuple[float, ...]
+    lp_upper: tuple[float, ...]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense problem matrix, built on first use and read-only."""
+        rows, cols, values = self.entries
+        matrix = np.zeros(
+            (self.elastic_rows + len(self.separator_labels), len(self.lp_cost))
+        )
+        matrix[rows, cols] = values
+        matrix.flags.writeable = False
+        return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +173,8 @@ class FeasibilityProblem:
 
     ``cliques``, ``tree``, ``matrix`` and ``elastic_rows`` belong to the
     system's shape and are shared by every system of that shape (``matrix``
-    is read-only); ``variables``, ``rhs`` and ``row_labels`` are this
-    system's own.
+    is built on first use and is read-only); ``variables``, ``rhs`` and
+    ``row_labels`` are this system's own.
     """
 
     variables: tuple[tuple[str, str], ...]
@@ -186,16 +215,21 @@ class CouplingWitness:
 class FeasibilityVerdict:
     """Outcome of a coupling-existence decision.
 
+    ``degree`` is the degree of contextuality: twice the CNT1 deficit, the
+    sum of the connection pairs' targets minus the largest sum of
+    Pr[pair equal] any coupling of the bunches reaches, clamped at 0.  It is
+    in expectation units, like the cyclic criterion's excess, and the
+    system is feasible iff it is at most EPS_FEAS.
     ``max_constraint_violation`` is the witness's worst residual when
-    feasible, and the minimized worst residual (distance to feasibility)
-    when not.  ``boundary`` marks verdicts that stayed within EPS_FEAS of
-    the fence even after re-solving at tightened tolerance.
+    feasible, and the degree when not.  ``boundary`` marks feasible
+    verdicts whose degree lies in (TIGHT_TOL, EPS_FEAS].
     """
 
     feasible: bool
     witness: CouplingWitness | None
     max_constraint_violation: float
     boundary: bool = False
+    degree: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -324,8 +358,9 @@ def _shape(
     bunch_positions: tuple[tuple[int, ...], ...],
     pair_positions: tuple[tuple[int, int], ...],
 ) -> _Shape:
-    """Triangulate, build the clique tree and assemble the LP matrix for
-    bunches and connection pairs at the given variable positions."""
+    """Triangulate, build the clique tree and assemble the LP's nonzeros,
+    column by clique-table entry, for bunches and connection pairs at the
+    given variable positions."""
     edges = [
         edge for positions in bunch_positions for edge in combinations(positions, 2)
     ]
@@ -333,54 +368,72 @@ def _shape(
     cliques = _triangulate(m, edges)
     tree = _clique_tree(cliques)
     offsets = np.cumsum([0] + [1 << len(c) for c in cliques])
+    triples: list[tuple[np.ndarray, np.ndarray, float]] = []
 
-    def marginal_rows(i: int, positions) -> np.ndarray:
-        """Rows summing clique i's table to each entry of its marginal over
-        ``positions`` (bit j of the entry carries positions[j])."""
+    def marginal(i: int, positions) -> tuple[np.ndarray, np.ndarray]:
+        """For each column of clique i's table, the entry of its marginal
+        over ``positions`` it adds to (bit j of the entry carries
+        positions[j]), and the column itself."""
         clique = cliques[i]
         entry = _gather_bits(
             np.arange(1 << len(clique)), [clique.index(p) for p in positions]
         )
-        rows = np.zeros((1 << len(positions), offsets[-1]))
-        rows[entry, offsets[i] + np.arange(entry.size)] = 1.0
-        return rows
+        return entry, offsets[i] + np.arange(entry.size)
 
     def holder(positions) -> int:
         return next(i for i, c in enumerate(cliques) if set(positions) <= set(c))
 
-    blocks = [marginal_rows(holder(positions), positions) for positions in bunch_positions]
+    row = 0
+    for positions in bunch_positions:
+        entry, col = marginal(holder(positions), positions)
+        triples.append((row + entry, col, 1.0))
+        row += 1 << len(positions)
+    pair_rows = slice(row, row + len(pair_positions))
     for u, v in pair_positions:
-        rows = marginal_rows(holder((u, v)), (u, v))
-        blocks.append(rows[[0]] + rows[[3]])  # both -1 or both +1
-    blocks.append(marginal_rows(0, ()))
-    elastic_rows = sum(len(block) for block in blocks)
+        entry, col = marginal(holder((u, v)), (u, v))
+        equal = col[(entry == 0) | (entry == 3)]  # both -1 or both +1
+        triples.append((np.full(equal.size, row), equal, 1.0))
+        row += 1
+    entry, col = marginal(0, ())
+    triples.append((row + entry, col, 1.0))
+    elastic_rows = row = row + 1
 
     separator_labels: list[str] = []
     for parent, child in tree:
         sep = _separator(cliques, (parent, child))
-        blocks.append(marginal_rows(parent, sep) - marginal_rows(child, sep))
+        for i, sign in ((parent, 1.0), (child, -1.0)):
+            entry, col = marginal(i, sep)
+            triples.append((row + entry, col, sign))
+        row += 1 << len(sep)
         separator_labels.extend(
             f"separator[{parent}-{child}][{s}]" for s in range(1 << len(sep))
         )
-    matrix = np.vstack(blocks)
-    matrix.flags.writeable = False
+    rows = np.concatenate([r for r, _, _ in triples])
+    cols = np.concatenate([c for _, c, _ in triples])
+    values = np.concatenate([np.full(c.size, v) for _, c, v in triples])
 
-    k, n = elastic_rows, matrix.shape[1]
-    lp = np.zeros((k + len(matrix), n + 1))
-    lp[:k, :n] = matrix[:k]
-    lp[k:2 * k, :n] = -matrix[:k]
-    lp[:2 * k, n] = -1.0
-    lp[2 * k:, :n] = matrix[k:]
-    columns, rows = np.nonzero(lp.T)
+    # The CNT1 LP: the pair rows become the cost, and the rows after them
+    # move up to close the gap.
+    n = int(offsets[-1])
+    is_pair = (rows >= pair_rows.start) & (rows < pair_rows.stop)
+    cost = -np.bincount(cols[is_pair], minlength=n).astype(np.float64)
+    keep = ~is_pair
+    lp_rows = np.where(rows < pair_rows.start, rows, rows - len(pair_positions))[keep]
+    order = np.lexsort((lp_rows, cols[keep]))
+    lp_cols = cols[keep][order]
     return _Shape(
         cliques=tuple(cliques),
         tree=tuple(tree),
-        matrix=matrix,
         elastic_rows=elastic_rows,
+        pair_rows=pair_rows,
         separator_labels=tuple(separator_labels),
-        lp_start=tuple(np.searchsorted(columns, np.arange(n + 2)).tolist()),
-        lp_index=tuple(rows.tolist()),
-        lp_value=tuple(lp.T[columns, rows].tolist()),
+        entries=(rows, cols, values),
+        lp_start=tuple(np.searchsorted(lp_cols, np.arange(n + 1)).tolist()),
+        lp_index=tuple(lp_rows[order].tolist()),
+        lp_value=tuple(values[keep][order].tolist()),
+        lp_cost=tuple(cost.tolist()),
+        lp_lower=(0.0,) * n,
+        lp_upper=(math.inf,) * n,
     )
 
 
@@ -424,68 +477,74 @@ def build_feasibility_problem(
 
 @dataclass(frozen=True)
 class _Solve:
-    """One HiGHS run on the min-max LP: t*, the clique tables x* attaining
-    it, and how the run ended."""
+    """One HiGHS run on the CNT1 LP: the degree, the clique tables x*
+    attaining it, and how the run ended."""
 
-    t: float
+    degree: float
     x: np.ndarray
     status: str
     iterations: int
 
 
-@lru_cache(maxsize=2)
-def _highs_options(tight: bool):
-    """HiGHS options for the min-max LP: presolve, dual simplex, no output,
-    and TIGHT_TOL primal and dual feasibility tolerances when ``tight``."""
+@cache
+def _highs_options():
+    """HiGHS options for the CNT1 LP: no presolve, dual simplex, no output,
+    TIGHT_TOL primal and dual feasibility tolerances."""
     from scipy.optimize._highspy import _core as highspy
 
     options = highspy.HighsOptions()
-    options.presolve = "on"
+    options.presolve = "off"
     options.simplex_strategy = highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.highs_debug_level = highspy.kHighsDebugLevelNone
     options.output_flag = options.log_to_console = False
-    if tight:
-        options.primal_feasibility_tolerance = TIGHT_TOL
-        options.dual_feasibility_tolerance = TIGHT_TOL
+    options.primal_feasibility_tolerance = TIGHT_TOL
+    options.dual_feasibility_tolerance = TIGHT_TOL
     return options
 
 
-def _solve_min_max_violation(problem: FeasibilityProblem, tight: bool) -> _Solve:
-    """Minimize t subject to |E x - rhs| <= t on every elastic row, exact
-    separator agreement, and x >= 0.  Each call runs a fresh HiGHS
-    instance, so no basis carries over from an earlier system.
+def _solve_cnt1(problem: FeasibilityProblem) -> _Solve:
+    """Maximize the sum of Pr[pair equal] subject to every bunch entry, the
+    total mass and every separator row as equalities, and x >= 0.  Each
+    call runs a fresh HiGHS instance, so no basis carries over from an
+    earlier system.
 
-    Returns t*, the distance to feasibility in the max norm, and the clique
-    tables attaining it.
+    Returns the degree, twice (sum of pair targets - that maximum) clamped
+    at 0, and the clique tables attaining the maximum.
     """
     from scipy.optimize._highspy import _core as highspy
 
     shape = problem.shape
-    k, n = shape.elastic_rows, len(shape.lp_start) - 1
-    b, b_eq = problem.rhs[:k].tolist(), problem.rhs[k:].tolist()
+    rhs, pairs = problem.rhs.tolist(), shape.pair_rows
+    b = rhs[:pairs.start] + rhs[pairs.stop:]
+    n = len(shape.lp_cost)
     lp = highspy.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = 2 * k + len(b_eq)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(b)
     lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
     lp.a_matrix_.start_ = shape.lp_start
     lp.a_matrix_.index_ = shape.lp_index
     lp.a_matrix_.value_ = shape.lp_value
-    lp.col_cost_ = [0.0] * (n - 1) + [1.0]
-    lp.col_lower_ = [0.0] * n
-    lp.col_upper_ = [highspy.kHighsInf] * n
-    lp.row_lower_ = [-highspy.kHighsInf] * (2 * k) + b_eq
-    lp.row_upper_ = b + [-v for v in b] + b_eq
+    lp.col_cost_ = shape.lp_cost
+    lp.col_lower_ = shape.lp_lower
+    lp.col_upper_ = shape.lp_upper
+    lp.row_lower_ = lp.row_upper_ = b
 
     highs = highspy._Highs()
-    highs.passOptions(_highs_options(tight))
+    highs.passOptions(_highs_options())
     highs.passModel(lp)
     highs.run()
     status = highs.getModelStatus()
     name = highs.modelStatusToString(status)
     if status != highspy.HighsModelStatus.kOptimal:
         raise SolverError(f"LP solver failed: HiGHS model status {name!r}")
-    x = np.array(highs.getSolution().col_value)
-    return _Solve(float(x[-1]), x[:-1], name, highs.getInfo().simplex_iteration_count)
+    info = highs.getInfo()
+    deficit = sum(rhs[pairs]) + info.objective_function_value
+    return _Solve(
+        max(0.0, 2.0 * deficit),
+        np.array(highs.getSolution().col_value),
+        name,
+        info.simplex_iteration_count,
+    )
 
 
 def _joint(problem: FeasibilityProblem, x: np.ndarray) -> np.ndarray:
@@ -551,30 +610,26 @@ def witness_violation(
 def decide(system: System, constraint: CouplingConstraint) -> FeasibilityVerdict:
     """Decide C-coupling existence, with a validated witness when feasible.
 
-    Feasible means the LP admits a point with max constraint violation at
-    most EPS_FEAS.  Verdicts inside (TIGHT_TOL, EPS_FEAS] are re-solved at
-    tightened solver tolerance, decided by that solve, and flagged
-    ``boundary`` if still ambiguous.
+    One CNT1 solve gives the degree of contextuality; the system is
+    feasible iff it is at most EPS_FEAS, and feasible verdicts with a
+    degree above TIGHT_TOL are flagged ``boundary``.
     """
     marg = _marginals(system, constraint)
     problem = _clique_problem(marg)
-    loose = solve = _solve_min_max_violation(problem, tight=False)
-    retightened = TIGHT_TOL < loose.t <= EPS_FEAS
-    if retightened:
-        solve = _solve_min_max_violation(problem, tight=True)
-    t = solve.t
+    solve = _solve_cnt1(problem)
+    feasible = solve.degree <= EPS_FEAS
     log.debug(
-        "decide: m=%d, %d cliques, LP %d x %d, loose t=%.3g (%s, %d simplex"
-        " iterations), tight re-solve %s, t=%.3g -> %s",
-        problem.num_variables, len(problem.cliques), *problem.matrix.shape,
-        loose.t, loose.status, loose.iterations,
-        f"ran ({solve.status}, {solve.iterations} simplex iterations)"
-        if retightened else "not run",
-        t, "infeasible" if t > EPS_FEAS else "feasible",
+        "decide: m=%d, %d cliques, CNT1 LP %d x %d, %s after %d simplex"
+        " iterations, degree %.3g -> %s",
+        problem.num_variables, len(problem.cliques),
+        len(problem.rhs) - len(marg.pairs),
+        len(problem.shape.lp_cost), solve.status, solve.iterations,
+        solve.degree, "feasible" if feasible else "infeasible",
     )
-    if t > EPS_FEAS:
+    if not feasible:
         return FeasibilityVerdict(
-            feasible=False, witness=None, max_constraint_violation=t
+            feasible=False, witness=None,
+            max_constraint_violation=solve.degree, degree=solve.degree,
         )
     joint = _joint(problem, solve.x)
     violation = _enumeration_violation(marg, joint)
@@ -586,5 +641,6 @@ def decide(system: System, constraint: CouplingConstraint) -> FeasibilityVerdict
         feasible=True,
         witness=CouplingWitness(marg.variables, tuple(joint.tolist())),
         max_constraint_violation=violation,
-        boundary=t > TIGHT_TOL,
+        boundary=solve.degree > TIGHT_TOL,
+        degree=solve.degree,
     )

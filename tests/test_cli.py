@@ -293,7 +293,6 @@ def test_cbd_log_debug_prints_the_decide_record():
     assert quiet.stdout == loud.stdout
     assert quiet.stderr == ""
     assert loud.stderr.splitlines() == [
-        "DEBUG:cbdsys.coupling:decide: m=8, 6 cliques, LP 41 x 48,"
-        " loose t=0.0667 (Optimal, 45 simplex iterations),"
-        " tight re-solve not run, t=0.0667 -> infeasible"
+        "DEBUG:cbdsys.coupling:decide: m=8, 6 cliques, CNT1 LP 37 x 48,"
+        " Optimal after 36 simplex iterations, degree 2 -> infeasible"
     ]

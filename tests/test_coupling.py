@@ -1,6 +1,7 @@
 """coupling-engine: LP feasibility, witnesses, and the simplex oracle."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,6 +204,65 @@ class TestDecide:
             verdict = decide(system, ME)
             if verdict.feasible:
                 assert witness_violation(system, ME, verdict.witness) <= EPS_FEAS
+
+    def test_boundary_slice_matches_criterion(self):
+        # The degree is in the criterion's expectation units, so both routes
+        # put the fence at g = EPS_FEAS.
+        for g in np.logspace(-8, -4, 200):
+            x = (2.0 + g) / 4.0
+            system = build_bell((x, x, x, -x), [0.0] * 8)
+            closed = cbd_cyclic4(system, detect_cyclic(system))
+            assert decide(system, ME).feasible == (g <= EPS_FEAS) == closed.noncontextual
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8])
+    def test_degree_is_the_cyclic_criterion_excess(self, n, rng):
+        # random_cycle draws are nearly all contextual; mixing every bunch
+        # with the uniform table scales all expectations by lam and brings
+        # the draws across the criterion boundary.
+        sides = set()
+        for _ in range(25):
+            for constraint, consistent in ((ME, False), (ME, True), (EA, True)):
+                drawn = random_cycle(rng, n, consistent)
+                for lam in (1.0, rng.uniform(0.0, 1.0)):
+                    system = _mixed_with_uniform(drawn, lam)
+                    margin = cyclic_criterion_margin(system, constraint)
+                    verdict = decide(system, constraint)
+                    assert verdict.degree == pytest.approx(max(0.0, -margin), abs=1e-9)
+                    assert verdict.feasible == (verdict.degree <= EPS_FEAS)
+                    sides.add(verdict.feasible)
+        assert sides == {True, False}
+
+    def test_large_context_builds_no_dense_matrix(self):
+        # One 11-content context is one clique of 2^11 columns; its dense
+        # 2^11 x 2^11 matrix alone would take 34 MB.
+        rng = np.random.default_rng(3)
+        contents = [f"q{i}" for i in range(11)]
+        system = build_system(
+            contents, [("c", contents, list(rng.dirichlet([1.0] * (1 << 11))))]
+        )
+        decide(build_system(["a"], [("x", ["a"], [0.5, 0.5])]), ME)  # loads scipy
+        _shape.cache_clear()
+        tracemalloc.start()
+        try:
+            verdict = decide(system, ME)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.feasible
+        assert peak < 20e6
+
+
+def _mixed_with_uniform(system, lam):
+    """Every bunch replaced by lam * bunch + (1 - lam) * uniform."""
+    return build_system(
+        [c.id for c in system.contents],
+        [
+            (ctx.id, list(ctx.contents),
+             [lam * p + (1.0 - lam) / len(system.bunch(ctx.id).probs)
+              for p in system.bunch(ctx.id).probs])
+            for ctx in system.contexts
+        ],
+    )
 
 
 def _tagged(system, tag):
