@@ -39,17 +39,9 @@ import numpy as np
 
 from . import __version__
 from .coupling import CouplingConstraint, FeasibilityVerdict, decide
-from .cyclic import (
-    CriterionResult,
-    cbd_cyclic2,
-    cbd_cyclic4,
-    chsh_fine,
-    detect_cyclic,
-    qq_statistic,
-)
+from .cyclic import cbd_cyclic2, cyclic_criterion, detect_cyclic, qq_statistic
 from .errors import (
     CbdError,
-    InconsistentSystemError,
     ParameterError,
     RankError,
     SolverError,
@@ -73,7 +65,7 @@ from .scenarios import (
     check_double_slit,
     sample_double_slit_params,
 )
-from .system import EPS_PROB, System, consistency
+from .system import EPS_PROB, consistency
 
 EXIT_NONCONTEXTUAL = 0
 EXIT_INPUT_ERROR = 1
@@ -112,26 +104,6 @@ def _finish(
     sys.exit(EXIT_NONCONTEXTUAL if verdict == NONCONTEXTUAL else EXIT_CONTEXTUAL)
 
 
-def _closed_form(
-    system: System, layout, constraint: CouplingConstraint
-) -> tuple[str, CriterionResult]:
-    """Pick the applicable closed-form criterion, or raise a CbdError."""
-    if constraint is CouplingConstraint.MAX_EQUALITY:
-        if layout.rank == 4:
-            return "cyclic4", cbd_cyclic4(system, layout)
-        return "cyclic2", cbd_cyclic2(system, layout)
-    # Equal-always has a quoted closed form only for consistently connected
-    # systems, where it coincides with the maximal-equality criterion.
-    if layout.rank == 4:
-        return "chsh_fine", chsh_fine(system, layout)
-    if consistency(system).max_marginal_gap > EPS_PROB:
-        raise InconsistentSystemError(
-            "no closed form for equal-always on inconsistently connected systems;"
-            " use --method lp"
-        )
-    return "cyclic2", cbd_cyclic2(system, layout)
-
-
 class _CbdGroup(click.Group):
     """Command group that turns every subcommand's errors into exit codes:
     a SolverError exits 2, any other CbdError exits 1."""
@@ -159,7 +131,8 @@ def cli() -> None:
               help="Coupling property demanded of within-connection pairs.")
 @click.option("--method", type=click.Choice(["auto", "closed-form", "lp", "both"]),
               default="auto", show_default=True,
-              help="auto = closed form for cyclic rank 2/4, LP otherwise.")
+              help="auto = closed form for a cyclic system of any rank, LP"
+                   " otherwise.")
 @click.option("--output", type=click.Choice(["text", "json"]), default="text",
               show_default=True)
 @click.option("--witness", is_flag=True,
@@ -181,15 +154,18 @@ def analyze(input_stream, constraint: str, method: str, output: str, witness: bo
             run_lp = True
     if run_closed and layout is None:
         raise RankError(
-            "closed-form criteria need a cyclic system of rank 2 or 4;"
-            " use --method lp"
+            "closed-form criteria need a cyclic system (one cycle of"
+            " two-content contexts, any rank); use --method lp"
         )
 
     results: list[dict] = []
     lp_verdict: FeasibilityVerdict | None = None
     if run_closed:
-        name, result = _closed_form(system, layout, want)
-        results.append(criterion_entry(name, result))
+        if want is CouplingConstraint.EQUAL_ALWAYS and layout.rank == 4:
+            name = "chsh_fine"
+        else:
+            name = f"cyclic{layout.rank}"
+        results.append(criterion_entry(name, cyclic_criterion(system, layout, want)))
     if run_lp:
         lp_verdict = decide(system, want)
         results.append(lp_entry(want, lp_verdict))

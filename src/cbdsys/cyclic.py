@@ -1,27 +1,30 @@
-"""Closed-form noncontextuality criteria for cyclic systems of rank 2 and 4.
+"""Closed-form noncontextuality criterion for cyclic systems of every rank.
 
 A cyclic system of rank n has n contents and n contexts arranged in a single
 cycle: every context holds exactly two contents and every content appears in
-exactly two contexts.  For rank 4 the maximal-equality coupling exists iff
+exactly two contexts.  Its maximal-equality coupling exists iff
 
-    max_j |sum_i e_i - 2 e_j|  <=  2 + sum of per-content expectation gaps,
+    s_odd(e_1, ..., e_n)  <=  n - 2 + sum of per-content expectation gaps
 
-where e_i is the product expectation of context i and a content's gap is the
-absolute difference of its expectations across its two contexts.  With all
-gaps zero the right side is exactly 2 and the inequality reduces to the
-classical CHSH/Fine existence criterion for a jointly distributed quadruple.
-For rank 2 the same coupling exists iff |e_1 - e_2| is at most the sum of the
-two gaps; the question-order "QQ" equality is precisely e_1 - e_2 = 0, which
-makes such systems noncontextual no matter how unequal the marginals are.
+(Kujala, Dzhafarov & Larsson, PRL 115, 150401, 2015), where e_i is the
+product expectation of context i, s_odd is the largest sum of the e_i with
+an odd number of them negated, and a content's gap is the absolute
+difference of its expectations across its two contexts.  With all gaps zero
+the right side is n - 2: at rank 4 that is the classical CHSH/Fine bound 2,
+at rank 3 the Leggett-Garg/Suppes-Zanotti bound 1, at rank 5 the KCBS bound
+3.  At rank 2 the left side is |e_1 - e_2|, and the question-order "QQ"
+equality e_1 = e_2 makes such systems noncontextual no matter how unequal
+the marginals are.
 
-Ranks other than 2 and 4 are reported as not-cyclic here and must go through
-the coupling engine.
+An equal-always coupling needs consistently connected input, where it is the
+same criterion with the gaps left out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .coupling import CouplingConstraint
 from .errors import InconsistentSystemError, RankError
 from .system import (
     EPS_FEAS,
@@ -31,8 +34,6 @@ from .system import (
     expectation,
     product_expectation,
 )
-
-_CLOSED_FORM_RANKS = (2, 4)
 
 
 @dataclass(frozen=True)
@@ -54,18 +55,15 @@ class CyclicLayout:
         """Context ids in cycle order (current context of each entry)."""
         return tuple(pair[1] for _, pair in self.order)
 
-    def cycle_contents(self) -> tuple[str, ...]:
-        return tuple(q for q, _ in self.order)
-
 
 @dataclass(frozen=True)
 class CriterionResult:
-    """Outcome of one closed-form criterion.
+    """Outcome of the cyclic criterion.
 
     ``deltas`` maps each content to its connection gap in expectation units,
     |<R in one context> - <R in the other>| (each in [0, 2]).  ``boundary``
     flags results within EPS_FEAS of lhs = rhs, which are reported
-    noncontextual because the criteria are non-strict inequalities.
+    noncontextual because the criterion is a non-strict inequality.
     """
 
     lhs: float
@@ -88,11 +86,11 @@ class CriterionResult:
 
 
 def detect_cyclic(system: System) -> CyclicLayout | None:
-    """Recognize cyclic systems of rank 2 or 4 and return their canonical layout.
+    """Recognize a cyclic system of any rank and return its canonical layout.
 
     Returns None for everything else (not an error): contexts with other than
-    two contents, contents in other than two contexts, multiple disjoint
-    cycles, or ranks outside {2, 4}.
+    two contents, contents in other than two contexts, or multiple disjoint
+    cycles.
     """
     if any(len(ctx.contents) != 2 for ctx in system.contexts):
         return None
@@ -107,7 +105,7 @@ def detect_cyclic(system: System) -> CyclicLayout | None:
         return None
 
     rank = len(system.contexts)
-    if rank != len(system.contents) or rank not in _CLOSED_FORM_RANKS:
+    if rank != len(system.contents):
         return None
 
     other_content = {
@@ -155,61 +153,64 @@ def _cycle_sides(system: System, layout: CyclicLayout) -> tuple[list[float], dic
     return products, deltas
 
 
-def _odd_combination_max(products: list[float]) -> float:
-    """max_j |sum_i e_i - 2 e_j| over the cycle's product expectations."""
-    total = sum(products)
-    return max(abs(total - 2.0 * e) for e in products)
+def cyclic_criterion(
+    system: System, layout: CyclicLayout, constraint: CouplingConstraint
+) -> CriterionResult:
+    """The rank-n criterion s_odd(e) <= n - 2 + sum of gaps.
+
+    Under equal-always the gaps must vanish: inconsistently connected input
+    is refused, and the right side is n - 2.
+    """
+    if constraint is CouplingConstraint.EQUAL_ALWAYS:
+        gap = consistency(system).max_marginal_gap
+        if gap > EPS_PROB:
+            raise InconsistentSystemError(
+                "no closed form for equal-always on inconsistently connected"
+                f" systems (max marginal gap {gap:g}); use --method lp"
+            )
+    products, deltas = _cycle_sides(system, layout)
+    # s_odd: negate the smallest |e_i| unless an odd number are negative.
+    magnitudes = [abs(e) for e in products]
+    lhs = sum(magnitudes)
+    if sum(e < 0 for e in products) % 2 == 0:
+        lhs -= 2.0 * min(magnitudes)
+    rhs = float(layout.rank - 2)
+    if constraint is CouplingConstraint.MAX_EQUALITY:
+        rhs += sum(deltas.values())
+    return CriterionResult.from_sides(lhs, rhs, deltas)
+
+
+def _require_rank(layout: CyclicLayout, rank: int, what: str) -> None:
+    if layout.rank != rank:
+        raise RankError(f"{what} applies to rank {rank}, got rank {layout.rank}")
 
 
 def chsh_fine(system: System, layout: CyclicLayout) -> CriterionResult:
-    """Classical CHSH/Fine existence criterion for rank-4 systems.
-
-    Valid only for consistently connected systems, where one context-free
-    variable per content can make sense; inconsistent input is refused
-    (use cbd_cyclic4, which handles it).
-    """
-    if layout.rank != 4:
-        raise RankError(f"CHSH/Fine applies to rank 4, got rank {layout.rank}")
-    report = consistency(system)
-    if report.max_marginal_gap > EPS_PROB:
-        raise InconsistentSystemError(
-            "system is not consistently connected "
-            f"(max marginal gap {report.max_marginal_gap:g}); use cbd_cyclic4"
-        )
-    products, deltas = _cycle_sides(system, layout)
-    return CriterionResult.from_sides(_odd_combination_max(products), 2.0, deltas)
+    """Classical CHSH/Fine criterion: the rank-4 equal-always criterion,
+    which refuses inconsistently connected input."""
+    _require_rank(layout, 4, "CHSH/Fine")
+    return cyclic_criterion(system, layout, CouplingConstraint.EQUAL_ALWAYS)
 
 
 def cbd_cyclic4(system: System, layout: CyclicLayout) -> CriterionResult:
-    """Maximal-equality coupling criterion for rank-4 systems.
-
-    Consistency is not required: the connection gaps move onto the right-hand
-    side, which reduces to the CHSH/Fine bound 2 when all gaps vanish.
-    """
-    if layout.rank != 4:
-        raise RankError(f"cyclic-4 criterion applies to rank 4, got rank {layout.rank}")
-    products, deltas = _cycle_sides(system, layout)
-    rhs = 2.0 + sum(deltas.values())
-    return CriterionResult.from_sides(_odd_combination_max(products), rhs, deltas)
+    """The rank-4 maximal-equality criterion."""
+    _require_rank(layout, 4, "cyclic-4 criterion")
+    return cyclic_criterion(system, layout, CouplingConstraint.MAX_EQUALITY)
 
 
 def cbd_cyclic2(system: System, layout: CyclicLayout) -> CriterionResult:
-    """Maximal-equality coupling criterion for rank-2 systems."""
-    if layout.rank != 2:
-        raise RankError(f"cyclic-2 criterion applies to rank 2, got rank {layout.rank}")
-    products, deltas = _cycle_sides(system, layout)
-    lhs = abs(products[0] - products[1])
-    return CriterionResult.from_sides(lhs, sum(deltas.values()), deltas)
+    """The rank-2 maximal-equality criterion."""
+    _require_rank(layout, 2, "cyclic-2 criterion")
+    return cyclic_criterion(system, layout, CouplingConstraint.MAX_EQUALITY)
 
 
 def qq_statistic(system: System, layout: CyclicLayout) -> float:
     """Signed difference of the two product expectations of a rank-2 system,
     taken in canonical cycle order.
 
-    Zero (the question-order "QQ" equality) makes cbd_cyclic2's left side
-    vanish, so the system is noncontextual regardless of its marginals.
+    Zero (the question-order "QQ" equality) makes the rank-2 criterion's left
+    side vanish, so the system is noncontextual regardless of its marginals.
     """
-    if layout.rank != 2:
-        raise RankError(f"QQ statistic applies to rank 2, got rank {layout.rank}")
+    _require_rank(layout, 2, "QQ statistic")
     products, _ = _cycle_sides(system, layout)
     return products[0] - products[1]

@@ -121,8 +121,10 @@ def render_text(report: dict) -> str:
         lines.append(f"qq equality holds: {_fmt(report['qq_equality_holds'])}")
     for entry in report.get("results", []):
         if entry["method"] == "lp":
+            # An infeasible verdict's number is its degree of contextuality.
+            label = "max violation" if entry["feasible"] else "degree"
             lines.append(
-                f"method lp ({entry['constraint']}): max violation"
+                f"method lp ({entry['constraint']}): {label}"
                 f" {_fmt(entry['max_constraint_violation'])} ->"
                 f" {'feasible' if entry['feasible'] else 'infeasible'}"
                 f" ({NONCONTEXTUAL if entry['noncontextual'] else CONTEXTUAL})"

@@ -106,6 +106,20 @@ CASES: tuple[GoldenCase, ...] = (
         golden="chain_lp.json",
     ),
     GoldenCase(
+        name="cycle_rank3_contextual",
+        args=("analyze", "--input", "cycle_rank3_contextual.json", "--method",
+              "both", "--output", "json"),
+        exit_code=3,
+        golden="cycle_rank3_contextual.json",
+    ),
+    GoldenCase(
+        name="cycle_rank5_gaps",
+        args=("analyze", "--input", "cycle_rank5_gaps.json", "--method", "both",
+              "--output", "json"),
+        exit_code=0,
+        golden="cycle_rank5_gaps.json",
+    ),
+    GoldenCase(
         name="double_slit_point",
         args=("double-slit", "--p", "0.1", "--q", "0.1", "--pp", "0.08",
               "--qp", "0.08", "--rp", "0.05", "--output", "json", "--witness"),

@@ -151,11 +151,21 @@ def random_cycle(rng: np.random.Generator, n: int, consistent: bool) -> System:
     products = signs * (1.0 - rng.uniform(0.0, 0.3, n))
     bound = (1.0 - np.abs(products).max()) / 2.0
     shared = rng.uniform(-bound, bound, n)
-    tables = []
+    moments = []
     for i in range(n):
         ea, eb = (shared[i], shared[(i + 1) % n]) if consistent else rng.uniform(-bound, bound, 2)
-        tables.append((f"c{i}", [f"q{i}", f"q{(i + 1) % n}"],
-                       bunch_probs_from_moments(ea, eb, products[i])))
+        moments.append((ea, eb, products[i]))
+    return cycle_from_moments(moments)
+
+
+def cycle_from_moments(moments) -> System:
+    """Rank-n cycle from one (mean of first, mean of second, product) triple
+    per context; context c_i holds q_i and q_{i+1 mod n}."""
+    n = len(moments)
+    tables = [
+        (f"c{i}", [f"q{i}", f"q{(i + 1) % n}"], bunch_probs_from_moments(*m))
+        for i, m in enumerate(moments)
+    ]
     return build_system([f"q{i}" for i in range(n)], tables)
 
 

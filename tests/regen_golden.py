@@ -10,9 +10,11 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
 from golden_cases import CASES, EXPECTED_DIR, INPUT_DIR, run_case
+from helpers import cycle_from_moments
 
 from cbdsys import (
     DoubleSlitParams,
@@ -61,6 +63,16 @@ def build_inputs() -> None:
               [("c1", ["q1", "q2"], [0.4, 0.1, 0.1, 0.4]),
                ("c2", ["q2", "q3"], [0.4, 0.1, 0.1, 0.4]),
                ("c3", ["q3", "q4"], [0.4, 0.1, 0.1, 0.4])])))
+    # Leggett-Garg shape: s_odd 2.25 against the rank-3 bound 1.
+    write(INPUT_DIR / "cycle_rank3_contextual.json",
+          serialize_system(cycle_from_moments([(0.0, 0.0, 0.75), (0.0, 0.0, 0.75),
+                                               (0.0, 0.0, -0.75)])))
+    # KCBS shape: s_odd 3.75 exceeds 3, but the connection gaps (sum 1)
+    # lift the max-equality bound to 4.
+    write(INPUT_DIR / "cycle_rank5_gaps.json",
+          serialize_system(cycle_from_moments(
+              [(0.125, -0.125, -0.75)] * 3
+              + [(0.125, 0.0, -0.75), (0.0, -0.125, -0.75)])))
 
     # Deliberately broken documents.
     write(INPUT_DIR / "malformed.json", "{\n")

@@ -4,11 +4,25 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cbdsys.fileio import format_float
 from golden_cases import CASES, EXPECTED_DIR, INPUT_DIR, GoldenCase, run_case
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _run_python(args, check=False, **env):
+    """A fresh interpreter with this checkout's src first on its PYTHONPATH
+    and CBD_LOG unset unless given, so it runs without an installed package."""
+    base = {k: v for k, v in os.environ.items() if k != "CBD_LOG"}
+    path = os.pathsep.join(p for p in (SRC, base.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, check=check,
+        env={**base, "PYTHONPATH": path, **env},
+    )
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
@@ -120,21 +134,17 @@ def test_method_both_never_disagrees_on_random_systems(tmp_path, rng):
 
 def test_usage_errors_exit_one_via_entry_point():
     # Flag errors are input errors (exit 1), not click's default usage exit 2.
-    proc = subprocess.run(
-        [sys.executable, "-m", "cbdsys.cli", "analyze", "--method", "bogus",
-         "--input", str(INPUT_DIR / "bell_mixed.json")],
-        capture_output=True, text=True,
-    )
+    proc = _run_python(
+        ["-m", "cbdsys.cli", "analyze", "--method", "bogus",
+         "--input", str(INPUT_DIR / "bell_mixed.json")])
     assert proc.returncode == 1
     assert "bogus" in proc.stderr
 
 
 def test_entry_point_runs_end_to_end():
-    proc = subprocess.run(
-        [sys.executable, "-m", "cbdsys.cli", "qq", "--input",
-         str(INPUT_DIR / "qq_identical.json"), "--output", "json"],
-        capture_output=True, text=True,
-    )
+    proc = _run_python(
+        ["-m", "cbdsys.cli", "qq", "--input",
+         str(INPUT_DIR / "qq_identical.json"), "--output", "json"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["qq_statistic"] == 0
 
@@ -265,10 +275,7 @@ def test_scipy_loads_only_for_an_lp_solve():
         ["analyze", "--input", str(INPUT_DIR / "bell_pr_box.json"),
          "--method", "lp"],
     ]
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(invocations)],
-        capture_output=True, text=True, check=True,
-    )
+    proc = _run_python(["-c", _SCIPY_PROBE, json.dumps(invocations)], check=True)
     doc = json.loads(proc.stdout)
     assert doc["codes"] == [0, 3, 0, 1, 3]
     # Before any import, after `import cbdsys`, after `import cbdsys.cli`,
@@ -277,11 +284,7 @@ def test_scipy_loads_only_for_an_lp_solve():
 
 
 def _run_entry_point(args, **env):
-    base = {k: v for k, v in os.environ.items() if k != "CBD_LOG"}
-    return subprocess.run(
-        [sys.executable, "-m", "cbdsys.cli", *args],
-        capture_output=True, text=True, env={**base, **env},
-    )
+    return _run_python(["-m", "cbdsys.cli", *args], **env)
 
 
 def test_cbd_log_debug_prints_the_decide_record():
@@ -296,3 +299,24 @@ def test_cbd_log_debug_prints_the_decide_record():
         "DEBUG:cbdsys.coupling:decide: m=8, 6 cliques, CNT1 LP 37 x 48,"
         " Optimal after 36 simplex iterations, degree 2 -> infeasible"
     ]
+
+
+@pytest.mark.parametrize("name", ["qq_unequal_marginals.json", "double_slit_worked.json"],
+                         ids=["rank2", "rank4"])
+def test_equal_always_closed_form_on_inconsistent_input_points_to_lp(name):
+    result = _invoke(("analyze", "--input", str(INPUT_DIR / name), "--constraint",
+                      "equal-always", "--method", "closed-form"))
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: no closed form for equal-always on inconsistently")
+    assert line.endswith("; use --method lp")
+
+
+def test_text_report_labels_an_infeasible_lp_number_degree():
+    result = _invoke(("analyze", "--input", str(INPUT_DIR / "bell_pr_box.json"),
+                      "--method", "both", "--output", "text"))
+    assert result.exit_code == 3
+    lines = result.stdout.splitlines()
+    assert "method cyclic4: lhs 4 rhs 2 margin -2 -> contextual" in lines
+    assert "method lp (max-equality): degree 2 -> infeasible (contextual)" in lines

@@ -23,6 +23,7 @@ from cbdsys import (
     connections,
     consistency,
     coupling_variables,
+    cyclic_criterion,
     decide,
     detect_cyclic,
     max_equality_probability,
@@ -226,6 +227,8 @@ class TestDecide:
                 for lam in (1.0, rng.uniform(0.0, 1.0)):
                     system = _mixed_with_uniform(drawn, lam)
                     margin = cyclic_criterion_margin(system, constraint)
+                    closed = cyclic_criterion(system, detect_cyclic(system), constraint)
+                    assert closed.margin == pytest.approx(margin, abs=1e-12)
                     verdict = decide(system, constraint)
                     assert verdict.degree == pytest.approx(max(0.0, -margin), abs=1e-9)
                     assert verdict.feasible == (verdict.degree <= EPS_FEAS)

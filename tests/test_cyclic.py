@@ -1,4 +1,6 @@
-"""cyclic-criteria: layout detection and the closed-form rank-2/4 criteria."""
+"""cyclic-criteria: layout detection and the closed-form criterion at every rank."""
+
+import itertools
 
 import pytest
 
@@ -16,11 +18,14 @@ from cbdsys import (
     cbd_cyclic4,
     chsh_fine,
     consistency,
+    cyclic_criterion,
     decide,
     detect_cyclic,
+    product_expectation,
     qq_statistic,
 )
 from helpers import (
+    cycle_from_moments,
     permute_declarations,
     random_rank2,
     random_rank2_matched_products,
@@ -50,19 +55,14 @@ class TestDetectCyclic:
         assert layout is not None and layout.rank == 2
         assert layout.cycle_contexts() == ("AB", "BA")
 
-    def test_rank3_not_supported_in_closed_form(self):
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_odd_rank_cycle_detected(self, n):
         tables = [
-            ("c1", ["q1", "q2"], [0.25] * 4),
-            ("c2", ["q2", "q3"], [0.25] * 4),
-            ("c3", ["q3", "q1"], [0.25] * 4),
+            (f"c{i}", [f"q{i}", f"q{(i + 1) % n}"], [0.25] * 4) for i in range(n)
         ]
-        assert detect_cyclic(build_system(["q1", "q2", "q3"], tables)) is None
-
-    def test_rank5_not_supported_in_closed_form(self):
-        tables = [
-            (f"c{i}", [f"q{i}", f"q{(i + 1) % 5}"], [0.25] * 4) for i in range(5)
-        ]
-        assert detect_cyclic(build_system([f"q{i}" for i in range(5)], tables)) is None
+        layout = detect_cyclic(build_system([f"q{i}" for i in range(n)], tables))
+        assert layout is not None and layout.rank == n
+        assert layout.cycle_contexts() == tuple(f"c{i}" for i in range(n))
 
     def test_two_disjoint_cycles_rejected(self):
         tables = [
@@ -93,6 +93,56 @@ class TestDetectCyclic:
             layout = detect_cyclic(system)
             shuffled = permute_declarations(system, rng)
             assert detect_cyclic(shuffled) == layout
+
+
+ME = CouplingConstraint.MAX_EQUALITY
+EA = CouplingConstraint.EQUAL_ALWAYS
+
+
+class TestCyclicCriterion:
+    def test_leggett_garg_rank3_bound_is_one(self):
+        # Products (0.75, 0.75, -0.75): s_odd = 2.25 against 3 - 2 = 1.
+        system = cycle_from_moments([(0.0, 0.0, e) for e in (0.75, 0.75, -0.75)])
+        for constraint in (ME, EA):
+            result = cyclic_criterion(system, detect_cyclic(system), constraint)
+            assert (result.lhs, result.rhs, result.margin) == (2.25, 1.0, -1.25)
+            assert not result.noncontextual
+
+    def test_kcbs_rank5_gaps_move_the_bound(self):
+        # Five products -0.75: s_odd = 3.75 > 3, but four gaps of 0.25 lift
+        # the max-equality bound to 4.
+        means = [(0.125, -0.125)] * 3 + [(0.125, 0.0), (0.0, -0.125)]
+        system = cycle_from_moments([(a, b, -0.75) for a, b in means])
+        result = cyclic_criterion(system, detect_cyclic(system), ME)
+        assert (result.lhs, result.rhs) == (3.75, 4.0)
+        assert result.noncontextual and not result.boundary
+        with pytest.raises(InconsistentSystemError, match="use --method lp"):
+            cyclic_criterion(system, detect_cyclic(system), EA)
+
+    def test_s_odd_is_the_largest_odd_signed_sum(self, rng):
+        for n in (2, 3, 4, 5, 6):
+            for _ in range(20):
+                products = rng.uniform(-1.0, 1.0, n)
+                system = cycle_from_moments([(0.0, 0.0, e) for e in products])
+                layout = detect_cyclic(system)
+                e = [product_expectation(system.bunch(c), *system.bunch(c).contents)
+                     for c in layout.cycle_contexts()]
+                s_odd = max(
+                    sum(-v if s else v for v, s in zip(e, signs))
+                    for signs in itertools.product((0, 1), repeat=n)
+                    if sum(signs) % 2
+                )
+                result = cyclic_criterion(system, layout, ME)
+                assert result.lhs == pytest.approx(s_odd, abs=1e-12)
+                assert result.rhs == pytest.approx(n - 2, abs=1e-12)
+
+    def test_equal_always_rhs_is_exactly_n_minus_2(self):
+        # Consistent up to float dust: the max-equality bound picks the dust
+        # up, the equal-always bound leaves it out.
+        system = cycle_from_moments([(0.3, 0.7, 0.2), (0.7, 0.3, 0.1)])
+        layout = detect_cyclic(system)
+        assert 0.0 < cyclic_criterion(system, layout, ME).rhs <= 1e-15
+        assert cyclic_criterion(system, layout, EA).rhs == 0.0
 
 
 class TestChshFine:
