@@ -39,11 +39,15 @@ compare one number with EPS_FEAS.  The LP always has a solution, since the
 product of the bunches is a coupling, and one HiGHS run decides it: called
 directly through scipy's bindings (``scipy.optimize._highspy``), dual
 simplex without presolve at TIGHT_TOL tolerances, a fresh solver for every
-solve.  When the degree is at most EPS_FEAS the clique tables are glued
-into the full 2**m joint (product of clique tables over separator tables),
-and the joint is checked against every bunch, equal and mass row by
-enumeration before it is returned as the witness.  M_MAX bounds the size of
-that dense witness.
+solve.  When the degree is at most EPS_FEAS the witness stays in clique-tree
+form: the root's table, then each child's table conditioned on its
+separator.  Their product is the glued joint.  One top-down pass over the
+tree gives every clique's marginal of that joint, and the witness is checked
+against every bunch, equal and mass row per clique, in work bounded by the
+clique-table sizes, not by 2**m.  The dense 2**m joint is built only when
+:attr:`CouplingWitness.probs` is first read; :func:`witness_violation`
+still checks any claimed witness by enumerating it.  M_MAX bounds the size
+of that dense joint.
 
 Only the right-hand side and the row names depend on a system's
 probabilities and ids.  The triangulation, clique tree and HiGHS column
@@ -75,8 +79,8 @@ from .system import EPS_FEAS, System, connections, require_valid
 
 log = logging.getLogger(__name__)
 
-#: Hard cap on the total variable count: the witness is a dense joint
-#: distribution over 2**M_MAX assignments.
+#: Hard cap on the total variable count: a witness's dense joint has
+#: 2**M_MAX entries.
 M_MAX = 20
 
 #: HiGHS primal and dual feasibility tolerance, 100x tighter than EPS_FEAS.
@@ -127,6 +131,12 @@ class _Shape:
     bounded by ``lp_lower`` and ``lp_upper``.  Its constraint matrix is
     stored column-wise as (lp_start, lp_index, lp_value), in tuples because
     HiGHS's bindings read those fastest; only the row bounds vary per call.
+
+    The witness is glued and checked with ``splits``, the columns where each
+    clique table after the first starts; ``separator_entries``, per tree
+    edge the separator entry that each entry of the parent's and of the
+    child's table falls in; and ``elastic_entries``, the rows and columns of
+    the elastic rows' nonzeros, which are all 1.
     """
 
     cliques: tuple[tuple[int, ...], ...]
@@ -135,6 +145,9 @@ class _Shape:
     pair_rows: slice
     separator_labels: tuple[str, ...]
     entries: tuple[np.ndarray, np.ndarray, np.ndarray]
+    splits: np.ndarray
+    separator_entries: tuple[tuple[np.ndarray, np.ndarray], ...]
+    elastic_entries: tuple[np.ndarray, np.ndarray]
     lp_start: tuple[int, ...]
     lp_index: tuple[int, ...]
     lp_value: tuple[float, ...]
@@ -203,12 +216,43 @@ class FeasibilityProblem:
         return self.shape.elastic_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingWitness:
-    """An explicit joint distribution certifying noncontextuality."""
+    """A joint distribution certifying noncontextuality, in clique-tree form.
+
+    ``variables``, ``cliques`` and ``tree`` are as in FeasibilityProblem.
+    ``tables`` holds clique 0's table, then, for each tree edge in order,
+    the child clique's table conditioned on the separator it shares with its
+    parent: nonnegative, and summing to one over each separator entry.  The
+    joint is their product, so a dense joint is the one-clique case,
+    ``CouplingWitness(variables, (tuple(range(m)),), (), (probs,))``.
+
+    ``probs`` is that joint over all 2**m assignments, in FeasibilityProblem's
+    bit order; it is built on first read and kept.  Witnesses compare by
+    identity, never by their arrays.
+    """
 
     variables: tuple[tuple[str, str], ...]
-    probs: tuple[float, ...]
+    cliques: tuple[tuple[int, ...], ...]
+    tree: tuple[tuple[int, int], ...]
+    tables: tuple[np.ndarray, ...]
+
+    @cached_property
+    def probs(self) -> tuple[float, ...]:
+        """The product of the tables, taken over the joint viewed as an
+        m-axis array whose axis k carries variable m-1-k (C order, so bit j
+        of the flat index is variable j).  A table over ascending positions
+        reshapes onto those axes directly, with size-1 axes broadcasting the
+        rest."""
+        m = len(self.variables)
+
+        def spread(clique: tuple[int, ...], table: np.ndarray) -> np.ndarray:
+            return table.reshape([2 if m - 1 - k in clique else 1 for k in range(m)])
+
+        joint = spread(self.cliques[0], self.tables[0])
+        for (_, child), table in zip(self.tree, self.tables[1:]):
+            joint = joint * spread(self.cliques[child], table)
+        return tuple(joint.reshape(-1).tolist())
 
 
 @dataclass(frozen=True)
@@ -221,8 +265,12 @@ class FeasibilityVerdict:
     in expectation units, like the cyclic criterion's excess, and the
     system is feasible iff it is at most EPS_FEAS.
     ``max_constraint_violation`` is the witness's worst residual when
-    feasible, and the degree when not.  ``boundary`` marks feasible
-    verdicts whose degree lies in (TIGHT_TOL, EPS_FEAS].
+    feasible, and the degree when not.  The residual is checked per clique:
+    the largest gap between a bunch entry, agreement probability or the
+    total mass of the witness and its target, read off the clique marginals
+    of the glued joint, which has no negative mass by construction.
+    ``boundary`` marks feasible verdicts whose degree lies in
+    (TIGHT_TOL, EPS_FEAS].
     """
 
     feasible: bool
@@ -399,11 +447,13 @@ def _shape(
     elastic_rows = row = row + 1
 
     separator_labels: list[str] = []
+    separator_entries = []
     for parent, child in tree:
         sep = _separator(cliques, (parent, child))
         for i, sign in ((parent, 1.0), (child, -1.0)):
             entry, col = marginal(i, sep)
             triples.append((row + entry, col, sign))
+            separator_entries.append(entry)
         row += 1 << len(sep)
         separator_labels.extend(
             f"separator[{parent}-{child}][{s}]" for s in range(1 << len(sep))
@@ -421,6 +471,7 @@ def _shape(
     lp_rows = np.where(rows < pair_rows.start, rows, rows - len(pair_positions))[keep]
     order = np.lexsort((lp_rows, cols[keep]))
     lp_cols = cols[keep][order]
+    elastic = rows < elastic_rows
     return _Shape(
         cliques=tuple(cliques),
         tree=tuple(tree),
@@ -428,6 +479,9 @@ def _shape(
         pair_rows=pair_rows,
         separator_labels=tuple(separator_labels),
         entries=(rows, cols, values),
+        splits=offsets[1:-1],
+        separator_entries=tuple(zip(separator_entries[::2], separator_entries[1::2])),
+        elastic_entries=(rows[elastic], cols[elastic]),
         lp_start=tuple(np.searchsorted(lp_cols, np.arange(n + 1)).tolist()),
         lp_index=tuple(lp_rows[order].tolist()),
         lp_value=tuple(values[keep][order].tolist()),
@@ -547,38 +601,56 @@ def _solve_cnt1(problem: FeasibilityProblem) -> _Solve:
     )
 
 
-def _joint(problem: FeasibilityProblem, x: np.ndarray) -> np.ndarray:
-    """The 2**m joint glued from clique tables: the root table times, along
-    each tree edge, the child's table over its own separator marginal
-    (0/0 = 0).  Tiny negative solver entries are clipped to zero first.
+def _witness(
+    problem: FeasibilityProblem, x: np.ndarray
+) -> tuple[CouplingWitness, np.ndarray]:
+    """The witness glued from clique tables x, and each clique's marginal
+    of its joint, laid out like x.
 
-    The product is taken over the joint viewed as an m-axis array, whose
-    axis k carries variable m-1-k (C order, so bit j of the flat index is
-    variable j).  A clique table over ascending positions reshapes onto
-    those axes directly, with size-1 axes broadcasting the rest."""
-    m = problem.num_variables
-    sizes = [1 << len(c) for c in problem.cliques]
-    tables = np.split(np.maximum(x, 0.0), np.cumsum(sizes)[:-1])
-
-    def spread(clique: tuple[int, ...], table: np.ndarray) -> np.ndarray:
-        return table.reshape([2 if m - 1 - k in clique else 1 for k in range(m)])
-
-    joint = spread(problem.cliques[0], tables[0])
-    for edge in problem.tree:
-        clique, table = problem.cliques[edge[1]], tables[edge[1]]
-        sep_entry = _gather_bits(
-            np.arange(table.size),
-            [clique.index(p) for p in _separator(problem.cliques, edge)],
+    Tiny negative solver entries are clipped to zero first.  Each child's
+    table is divided by its own separator marginal, and a separator entry of
+    zero mass gets the uniform conditional, so every conditional sums to
+    one.  One pass from the root then gives each child's marginal of the
+    joint as its parent's marginal on their separator times its conditional.
+    """
+    shape = problem.shape
+    tables = np.split(np.maximum(x, 0.0), shape.splits)
+    marginals = list(tables)
+    factors = [tables[0]]
+    for (parent, child), (parent_entry, child_entry) in zip(
+        shape.tree, shape.separator_entries
+    ):
+        table = tables[child]
+        separator = np.bincount(child_entry, weights=table)
+        den = separator[child_entry]
+        conditional = np.divide(
+            table, den, out=np.full_like(table, separator.size / table.size),
+            where=den > 0,
         )
-        den = np.bincount(sep_entry, weights=table)[sep_entry]
-        conditional = np.divide(table, den, out=np.zeros_like(table), where=den > 0)
-        joint = joint * spread(clique, conditional)
-    return joint.reshape(-1)
+        from_parent = np.bincount(
+            parent_entry, weights=marginals[parent], minlength=separator.size
+        )
+        marginals[child] = from_parent[child_entry] * conditional
+        factors.append(conditional)
+    witness = CouplingWitness(problem.variables, shape.cliques, shape.tree, tuple(factors))
+    return witness, np.concatenate(marginals)
 
 
-def _enumeration_violation(marg: _Marginals, x: np.ndarray) -> float:
-    """Worst defect of a 2**m joint, by enumeration: negative mass, total
-    mass, bunch reproduction error, or missed connection-equality target."""
+def witness_violation(
+    system: System, constraint: CouplingConstraint, witness: CouplingWitness
+) -> float:
+    """Worst absolute defect of a claimed witness, checked by enumerating its
+    2**m entries: negative mass, total mass, bunch reproduction error, or
+    missed connection-equality target.  This is the independent check of
+    any witness; :func:`decide` checks its own per clique."""
+    marg = _marginals(system, constraint)
+    if witness.variables != marg.variables:
+        raise ValueError("witness variable order does not match the system's")
+    x = np.asarray(witness.probs, dtype=np.float64)
+    if x.shape != (1 << len(marg.variables),):
+        raise ValueError(
+            f"witness has {x.size} entries, expected {1 << len(marg.variables)}"
+        )
     index = np.arange(x.size)
     worst = max(0.0, float(-x.min()), abs(float(x.sum()) - 1.0))
     for _, positions, probs in marg.bunches:
@@ -590,25 +662,9 @@ def _enumeration_violation(marg: _Marginals, x: np.ndarray) -> float:
     return worst
 
 
-def witness_violation(
-    system: System, constraint: CouplingConstraint, witness: CouplingWitness
-) -> float:
-    """Worst absolute defect of a claimed witness, checked by enumerating its
-    2**m entries: negative mass, total mass, bunch reproduction error, or
-    missed connection-equality target."""
-    marg = _marginals(system, constraint)
-    if witness.variables != marg.variables:
-        raise ValueError("witness variable order does not match the system's")
-    x = np.asarray(witness.probs, dtype=np.float64)
-    if x.shape != (1 << len(marg.variables),):
-        raise ValueError(
-            f"witness has {x.size} entries, expected {1 << len(marg.variables)}"
-        )
-    return _enumeration_violation(marg, x)
-
-
 def decide(system: System, constraint: CouplingConstraint) -> FeasibilityVerdict:
-    """Decide C-coupling existence, with a validated witness when feasible.
+    """Decide C-coupling existence, with a witness checked per clique when
+    feasible.
 
     One CNT1 solve gives the degree of contextuality; the system is
     feasible iff it is at most EPS_FEAS, and feasible verdicts with a
@@ -631,15 +687,19 @@ def decide(system: System, constraint: CouplingConstraint) -> FeasibilityVerdict
             feasible=False, witness=None,
             max_constraint_violation=solve.degree, degree=solve.degree,
         )
-    joint = _joint(problem, solve.x)
-    violation = _enumeration_violation(marg, joint)
+    witness, marginals = _witness(problem, solve.x)
+    rows, cols = problem.shape.elastic_entries
+    k = problem.elastic_rows
+    violation = float(
+        np.abs(np.bincount(rows, weights=marginals[cols], minlength=k) - problem.rhs[:k]).max()
+    )
     if violation > EPS_FEAS:
         raise SolverError(
             f"solver returned an invalid witness (violation {violation:g})"
         )
     return FeasibilityVerdict(
         feasible=True,
-        witness=CouplingWitness(marg.variables, tuple(joint.tolist())),
+        witness=witness,
         max_constraint_violation=violation,
         boundary=solve.degree > TIGHT_TOL,
         degree=solve.degree,

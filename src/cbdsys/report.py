@@ -58,6 +58,7 @@ def lp_entry(constraint: CouplingConstraint, verdict: FeasibilityVerdict) -> dic
         "noncontextual": verdict.feasible,
         "boundary": verdict.boundary,
         "max_constraint_violation": verdict.max_constraint_violation,
+        "degree": verdict.degree,
     }
 
 

@@ -388,7 +388,7 @@ def brute_force_decide(
         )
     return FeasibilityVerdict(
         feasible=True,
-        witness=CouplingWitness(problem.variables, tuple(x.tolist())),
+        witness=CouplingWitness(problem.variables, (tuple(range(m)),), (), (x,)),
         max_constraint_violation=violation,
     )
 

@@ -29,10 +29,12 @@ from cbdsys import (
     max_equality_probability,
     witness_violation,
 )
+from cbdsys import coupling
 from cbdsys.coupling import SHAPE_CACHE_SIZE, _shape
 from helpers import (
     brute_force_decide,
     build_joint_problem,
+    cycle_from_moments,
     cyclic_criterion_margin,
     flip_content,
     marginalize_joint,
@@ -253,6 +255,104 @@ class TestDecide:
             tracemalloc.stop()
         assert verdict.feasible
         assert peak < 20e6
+
+    def test_feasible_verdict_never_builds_the_dense_joint(self):
+        # A rank-10 cycle has m = 20 variables: its dense joint alone is
+        # 8 MB of float64, its 2^20-long tuple far more.
+        system = cycle_from_moments([(0.1, -0.1, 0.5)] * 10)
+        decide(system, ME)  # loads scipy and builds the shape
+        tracemalloc.start()
+        try:
+            verdict = decide(system, ME)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.feasible
+        assert peak < 2e6
+        assert "probs" not in vars(verdict.witness)
+        assert len(verdict.witness.probs) == 1 << 20
+        assert witness_violation(system, ME, verdict.witness) <= EPS_FEAS
+
+    def test_clique_check_matches_enumeration(self, rng, monkeypatch):
+        # The per-clique residual is the enumeration's residual on the glued
+        # joint.  Point-mass and two-point tables leave child separator
+        # entries without mass, where the conditional is uniform.
+        solves = []
+        solve = coupling._solve_cnt1
+
+        def recorded(problem):
+            solves.append((problem, solve(problem)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(coupling, "_solve_cnt1", recorded)
+        empty_separators = feasible = 0
+        for _ in range(1000):
+            system = _with_sparse_tables(random_small_system(rng, 12), rng)
+            for constraint in (EA, ME):
+                verdict = decide(system, constraint)
+                if not verdict.feasible:
+                    continue
+                feasible += 1
+                problem, solved = solves[-1]
+                empty_separators += _empty_child_separator_entries(problem, solved.x)
+                assert verdict.max_constraint_violation == pytest.approx(
+                    witness_violation(system, constraint, verdict.witness), abs=1e-12
+                )
+                assert_witness_reproduces(system, constraint, verdict.witness)
+        assert feasible > 500
+        assert empty_separators > 0
+
+
+def test_glue_keeps_mass_where_a_child_separator_is_empty(rng):
+    # Clique tables that disagree on a separator: the child has no mass on
+    # an entry where its parent has some.  The uniform conditional keeps
+    # the joint's total mass, and the top-down clique marginals stay those
+    # of the glued joint.
+    system = random_chain(rng, 4)
+    problem = build_feasibility_problem(system, ME)
+    assert problem.tree
+    tables = np.split(rng.dirichlet(np.ones(len(problem.shape.lp_cost))), problem.shape.splits)
+    _, child = problem.tree[0]
+    _, child_entry = problem.shape.separator_entries[0]
+    tables[child][child_entry == 0] = 0.0
+    x = np.concatenate(tables)
+    x[: tables[0].size] /= tables[0].sum()
+    witness, marginals = coupling._witness(problem, x)
+    assert sum(witness.probs) == pytest.approx(1.0, abs=1e-12)
+    m = problem.num_variables
+    for clique, marginal in zip(
+        problem.cliques, np.split(marginals, problem.shape.splits)
+    ):
+        assert marginalize_joint(witness.probs, list(clique), m) == pytest.approx(
+            marginal.tolist(), abs=1e-12
+        )
+
+
+def _with_sparse_tables(system, rng):
+    """Each bunch kept, or replaced by a point mass or a two-point table,
+    with equal odds."""
+    tables = []
+    for ctx in system.contexts:
+        probs = list(system.bunch(ctx.id).probs)
+        kind = int(rng.integers(3))
+        if kind:
+            points = rng.choice(len(probs), size=kind, replace=False)
+            u = rng.uniform()
+            probs = [0.0] * len(probs)
+            for point, weight in zip(points, (1.0,) if kind == 1 else (u, 1.0 - u)):
+                probs[point] = weight
+        tables.append((ctx.id, list(ctx.contents), probs))
+    return build_system([c.id for c in system.contents], tables)
+
+
+def _empty_child_separator_entries(problem, x):
+    """How many separator entries of child cliques carry no mass in the
+    clique tables x."""
+    tables = np.split(np.maximum(x, 0.0), problem.shape.splits)
+    count = 0
+    for (_, child), (_, child_entry) in zip(problem.tree, problem.shape.separator_entries):
+        count += int((np.bincount(child_entry, weights=tables[child]) == 0).sum())
+    return count
 
 
 def _mixed_with_uniform(system, lam):
