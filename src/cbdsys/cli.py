@@ -22,9 +22,11 @@ iteration count, degree of contextuality, verdict), and the sweep's
 per-draw disagreement warning reaches stderr as a bare message even without
 CBD_LOG.
 
-scipy is loaded only by an LP solve (``analyze --method lp/both``, ``analyze``
-on a system with no closed form, ``double-slit``); ``--version``, ``qq``,
-closed-form ``analyze`` and every input error never import it.
+Only an LP solve (``analyze --method lp/both``, ``analyze`` on a system with
+no closed form, ``double-slit``) loads anything of scipy, and then only its
+HiGHS extension module; ``scipy.optimize`` is never imported.  ``--version``,
+``qq``, closed-form ``analyze`` and every input error load none of it.
+Bindings that are missing or fail to load exit 2 with an ``error:`` line.
 """
 
 from __future__ import annotations

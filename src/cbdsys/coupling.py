@@ -37,11 +37,11 @@ equals the criterion excess s_odd - (n - 2) - sum of gaps in expectation
 units (Dzhafarov, Kujala & Cervantes, PRA 101, 042119, 2020), so both routes
 compare one number with EPS_FEAS.  The LP always has a solution, since the
 product of the bunches is a coupling, and one HiGHS run decides it: called
-directly through scipy's bindings (``scipy.optimize._highspy``), dual
-simplex without presolve at TIGHT_TOL tolerances, a fresh solver for every
-solve.  When the degree is at most EPS_FEAS the witness stays in clique-tree
-form: the root's table, then each child's table conditioned on its
-separator.  Their product is the glued joint.  One top-down pass over the
+directly through the bindings scipy ships (``scipy.optimize._highspy._core``),
+dual simplex without presolve at TIGHT_TOL tolerances, a fresh solver for
+every solve.  When the degree is at most EPS_FEAS the witness stays in
+clique-tree form: the root's table, then each child's table conditioned on
+its separator.  Their product is the glued joint.  One top-down pass over the
 tree gives every clique's marginal of that joint, and the witness is checked
 against every bunch, equal and mass row per clique, in work bounded by the
 clique-table sizes, not by 2**m.  The dense 2**m joint is built only when
@@ -55,9 +55,12 @@ arrays and costs depend only on its *shape* (variable count, bunch positions,
 connection-pair positions), so they are built once per shape and kept in a
 bounded cache: a sweep over one scenario builds its LP once.
 
-scipy is imported on the first LP solve, not with this module: importing
-``scipy.optimize`` takes about 0.6 s on a 2-core VM, several times a whole
-closed-form CLI run, so code that never calls :func:`decide` never loads it.
+The HiGHS bindings load on the first LP solve, not with this module, and
+alone: :func:`_highspy` loads that one extension module out of scipy's
+package directory (about 4 ms on a 2-core VM) and never imports ``scipy``
+or ``scipy.optimize``, whose import takes about 0.25 s there.  Code that
+never calls :func:`decide` loads nothing of scipy, and a CLI run that
+solves an LP takes about 0.12 s instead of 0.40 s.
 Each :func:`decide` logs one debug record (variable count, cliques, CNT1 LP
 rows x columns, HiGHS model status, simplex iteration count, degree,
 verdict) on this module's logger.
@@ -66,8 +69,13 @@ verdict) on this module's logger.
 from __future__ import annotations
 
 import enum
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from itertools import combinations
@@ -540,12 +548,56 @@ class _Solve:
     iterations: int
 
 
+#: The HiGHS bindings scipy ships, as one pybind11 extension module.
+_HIGHSPY = "scipy.optimize._highspy._core"
+
+_highspy_lock = threading.Lock()
+
+
+def _highspy():
+    """The HiGHS bindings module, loaded on first use without importing
+    ``scipy`` or ``scipy.optimize``.
+
+    A module already in ``sys.modules`` (loaded earlier, or by an
+    ``import scipy.optimize``) is returned as it is, so everyone shares one.
+    Otherwise the extension is found in scipy's package directory, registered
+    under its full name and run; a later ``import scipy.optimize`` then finds
+    it there.  The check and the load share one lock, so threads that solve
+    at once load it once.  Raises SolverError when it cannot be loaded.
+    """
+    with _highspy_lock:
+        module = sys.modules.get(_HIGHSPY)
+        if module is not None:
+            return module
+        scipy = importlib.util.find_spec("scipy")
+        roots = (scipy and scipy.submodule_search_locations) or ()
+        paths = [os.path.join(root, "optimize", "_highspy") for root in roots]
+        spec = importlib.machinery.PathFinder.find_spec(_HIGHSPY, paths)
+        if spec is None:
+            looked = " or ".join(os.path.join(path, "_core.*") for path in paths)
+            raise SolverError(
+                "HiGHS bindings not found: "
+                + (f"no {looked}" if paths else "scipy is not installed")
+                + "; cbdsys needs scipy>=1.17"
+            )
+        try:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_HIGHSPY] = module
+            spec.loader.exec_module(module)
+        except ImportError as exc:
+            sys.modules.pop(_HIGHSPY, None)
+            raise SolverError(
+                f"HiGHS bindings failed to load from {spec.origin}: {exc};"
+                " cbdsys needs scipy>=1.17"
+            ) from exc
+        return module
+
+
 @cache
 def _highs_options():
     """HiGHS options for the CNT1 LP: no presolve, dual simplex, no output,
     TIGHT_TOL primal and dual feasibility tolerances."""
-    from scipy.optimize._highspy import _core as highspy
-
+    highspy = _highspy()
     options = highspy.HighsOptions()
     options.presolve = "off"
     options.simplex_strategy = highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual
@@ -565,8 +617,7 @@ def _solve_cnt1(problem: FeasibilityProblem) -> _Solve:
     Returns the degree, twice (sum of pair targets - that maximum) clamped
     at 0, and the clique tables attaining the maximum.
     """
-    from scipy.optimize._highspy import _core as highspy
-
+    highspy = _highspy()
     shape = problem.shape
     rhs, pairs = problem.rhs.tolist(), shape.pair_rows
     b = rhs[:pairs.start] + rhs[pairs.stop:]

@@ -21,7 +21,7 @@ def _run_python(args, check=False, **env):
     path = os.pathsep.join(p for p in (SRC, base.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, check=check,
-        env={**base, "PYTHONPATH": path, **env},
+        env={**base, "PYTHONPATH": path, **env}, timeout=120,
     )
 
 
@@ -247,11 +247,15 @@ def test_sweep_disagreements_exit_two_and_keep_counts(monkeypatch):
 
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
-loaded = ["scipy" in sys.modules]
+names = ("scipy", "scipy.optimize", "scipy.optimize._highspy._core")
+loaded = []
+def note():
+    loaded.append([name in sys.modules for name in names])
+note()
 import cbdsys
-loaded.append("scipy" in sys.modules)
+note()
 import cbdsys.cli
-loaded.append("scipy" in sys.modules)
+note()
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), \\
@@ -260,7 +264,7 @@ for argv in json.loads(sys.argv[1]):
             cbdsys.cli.main(argv)
         except SystemExit as exc:
             codes.append(exc.code)
-    loaded.append("scipy" in sys.modules)
+    note()
 print(json.dumps({"loaded": loaded, "codes": codes}))
 """
 
@@ -279,8 +283,119 @@ def test_scipy_loads_only_for_an_lp_solve():
     doc = json.loads(proc.stdout)
     assert doc["codes"] == [0, 3, 0, 1, 3]
     # Before any import, after `import cbdsys`, after `import cbdsys.cli`,
-    # then after each invocation: only the last one solves an LP.
-    assert doc["loaded"] == [False] * 7 + [True]
+    # then after each invocation: only the last one solves an LP, and it
+    # loads the HiGHS bindings alone, never the scipy or scipy.optimize
+    # packages.
+    assert doc["loaded"] == [[False, False, False]] * 7 + [[False, False, True]]
+
+
+_ORDER_PROBE = """
+import sys
+from cbdsys import build_bell, coupling, decide, CouplingConstraint
+def lp_verdict():
+    return decide(build_bell((1, 1, 1, -1), [0.0] * 8),
+                  CouplingConstraint.MAX_EQUALITY).feasible
+if sys.argv[1] == "decide-first":
+    assert lp_verdict() is False
+    assert "scipy.optimize" not in sys.modules
+import scipy.optimize
+from scipy.optimize._highspy import _core
+result = scipy.optimize.linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1])
+assert result.status == 0 and result.fun == 1.0, result
+assert lp_verdict() is False
+assert coupling._highspy() is _core is sys.modules["scipy.optimize._highspy._core"]
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("order", ["decide-first", "scipy-first"])
+def test_bindings_are_shared_with_scipy_optimize(order):
+    # Either import order leaves one bindings module, which both decide and
+    # scipy.optimize's own linprog use.
+    proc = _run_python(["-c", _ORDER_PROBE, order])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+_THREADS_PROBE = """
+import json, sys, threading, time
+from cbdsys import build_bell, coupling, decide, CouplingConstraint
+systems = [build_bell((0.5, 0.5, 0.5, 0.5), [0.0] * 8),
+           build_bell((1, 1, 1, -1), [0.0] * 8)] * 2
+for system in systems:  # build the LP shapes, so decide goes straight to HiGHS
+    coupling.build_feasibility_problem(system, CouplingConstraint.MAX_EQUALITY)
+deadline = time.monotonic() + 60
+ready, go = [], []
+verdicts = [None] * len(systems)
+modules = [None] * len(systems)
+def work(i):
+    # Spin rather than block, so every thread is running when go is set.
+    ready.append(i)
+    while not go and time.monotonic() < deadline:
+        pass
+    modules[i] = coupling._highspy()
+    verdicts[i] = decide(systems[i], CouplingConstraint.MAX_EQUALITY).feasible
+sys.setswitchinterval(1e-6)  # switch threads as often as possible
+threads = [threading.Thread(target=work, args=(i,)) for i in range(len(systems))]
+for thread in threads:
+    thread.start()
+while len(ready) < len(threads) and time.monotonic() < deadline:
+    pass
+go.append(True)
+for thread in threads:
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+bindings = sys.modules["scipy.optimize._highspy._core"]
+print(json.dumps({
+    "verdicts": verdicts,
+    "shared": all(module is bindings for module in modules),
+}))
+"""
+
+
+def test_first_bindings_load_is_safe_under_threads():
+    # Four threads in a fresh interpreter reach the first load of the
+    # bindings together, then decide.  Without the lock two of them load it
+    # in about half the runs, so three runs must all pass.
+    for _ in range(3):
+        proc = _run_python(["-c", _THREADS_PROBE])
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc == {"verdicts": [True, False, True, False], "shared": True}
+
+
+def _fake_scipy(root, bindings: bytes | None) -> str:
+    """A ``scipy`` package under ``root`` with an empty ``__init__``, and, when
+    ``bindings`` is given, those bytes as its HiGHS extension module."""
+    import importlib.machinery
+
+    package = root / "scipy"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    if bindings is not None:
+        highspy = package / "optimize" / "_highspy"
+        highspy.mkdir(parents=True)
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        (highspy / f"_core{suffix}").write_bytes(bindings)
+    return os.pathsep.join([str(root), SRC])
+
+
+@pytest.mark.parametrize("bindings, message", [
+    (None, "error: HiGHS bindings not found: no "),
+    (b"not an extension module", "error: HiGHS bindings failed to load from "),
+], ids=["missing", "unloadable"])
+def test_missing_highs_bindings_exit_two(tmp_path, bindings, message):
+    path = _fake_scipy(tmp_path, bindings)
+    proc = _run_entry_point(
+        ("analyze", "--input", str(INPUT_DIR / "bell_pr_box.json"), "--method", "lp"),
+        PYTHONPATH=path,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(message)
+    assert str(tmp_path / "scipy" / "optimize" / "_highspy") in line
+    assert line.endswith("; cbdsys needs scipy>=1.17")
 
 
 def _run_entry_point(args, **env):

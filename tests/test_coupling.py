@@ -1,6 +1,7 @@
 """coupling-engine: LP feasibility, witnesses, and the simplex oracle."""
 
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from cbdsys import (
     ConnectionSizeError,
     CouplingConstraint,
     DoubleSlitParams,
+    SolverError,
     SystemSizeError,
     build_bell,
     build_double_slit,
@@ -245,7 +247,7 @@ class TestDecide:
         system = build_system(
             contents, [("c", contents, list(rng.dirichlet([1.0] * (1 << 11))))]
         )
-        decide(build_system(["a"], [("x", ["a"], [0.5, 0.5])]), ME)  # loads scipy
+        decide(build_system(["a"], [("x", ["a"], [0.5, 0.5])]), ME)  # loads HiGHS
         _shape.cache_clear()
         tracemalloc.start()
         try:
@@ -260,7 +262,7 @@ class TestDecide:
         # A rank-10 cycle has m = 20 variables: its dense joint alone is
         # 8 MB of float64, its 2^20-long tuple far more.
         system = cycle_from_moments([(0.1, -0.1, 0.5)] * 10)
-        decide(system, ME)  # loads scipy and builds the shape
+        decide(system, ME)  # loads HiGHS and builds the shape
         tracemalloc.start()
         try:
             verdict = decide(system, ME)
@@ -430,12 +432,25 @@ class TestShapeCache:
 
 
 def test_highs_bindings_are_present():
-    # decide calls these private scipy bindings directly; pyproject.toml
-    # pins a scipy that ships them.
-    from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, _Highs
+    # decide calls these private scipy bindings directly, loaded from
+    # scipy/optimize/_highspy/_core*; pyproject.toml pins a scipy that
+    # ships them there.
+    highspy = coupling._highspy()
+    assert highspy.__name__ == "scipy.optimize._highspy._core"
+    assert highspy.HighsLp().num_col_ == 0
+    status = highspy.HighsModelStatus.kOptimal
+    assert highspy._Highs().modelStatusToString(status) == "Optimal"
 
-    assert HighsLp().num_col_ == 0
-    assert _Highs().modelStatusToString(HighsModelStatus.kOptimal) == "Optimal"
+
+def test_highs_bindings_without_scipy_raise_solver_error(monkeypatch):
+    # A None entry in sys.modules is how Python marks a module as absent.
+    monkeypatch.delitem(sys.modules, coupling._HIGHSPY, raising=False)
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    with pytest.raises(SolverError, match=(
+        r"^HiGHS bindings not found: scipy is not installed;"
+        r" cbdsys needs scipy>=1\.17$"
+    )):
+        coupling._highspy()
 
 
 class TestBruteForceDecide:
