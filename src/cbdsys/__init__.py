@@ -7,18 +7,6 @@ one closed-form criterion for cyclic systems of every rank, and a linear
 feasibility search with an explicit witness for everything else.
 """
 
-from .coupling import (
-    M_MAX,
-    CouplingConstraint,
-    CouplingWitness,
-    FeasibilityProblem,
-    FeasibilityVerdict,
-    build_feasibility_problem,
-    coupling_variables,
-    decide,
-    max_equality_probability,
-    witness_violation,
-)
 from .cyclic import (
     CriterionResult,
     CyclicLayout,
@@ -62,12 +50,14 @@ from .system import (
     ConsistencyReport,
     Content,
     Context,
+    CouplingConstraint,
     System,
     build_system,
     connections,
     consistency,
     expectation,
     marginal,
+    max_equality_probability,
     product_expectation,
     validate_system,
 )
@@ -133,3 +123,29 @@ __all__ = [
     "validate_system",
     "witness_violation",
 ]
+
+#: Served from the coupling engine on first access (PEP 562), so that
+#: ``import cbdsys`` loads neither numpy nor the LP code.
+_COUPLING_NAMES = frozenset({
+    "M_MAX",
+    "CouplingWitness",
+    "FeasibilityProblem",
+    "FeasibilityVerdict",
+    "build_feasibility_problem",
+    "coupling_variables",
+    "decide",
+    "witness_violation",
+})
+
+
+def __getattr__(name: str):
+    if name not in _COUPLING_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import coupling
+
+    value = globals()[name] = getattr(coupling, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _COUPLING_NAMES)

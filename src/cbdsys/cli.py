@@ -23,24 +23,25 @@ per-draw disagreement warning reaches stderr as a bare message even without
 CBD_LOG.
 
 Only an LP solve (``analyze --method lp/both``, ``analyze`` on a system with
-no closed form, ``double-slit``) loads anything of scipy, and then only its
-HiGHS extension module; ``scipy.optimize`` is never imported.  ``--version``,
-``qq``, closed-form ``analyze`` and every input error load none of it.
-Bindings that are missing or fail to load exit 2 with an ``error:`` line.
+no closed form, ``double-slit``) loads numpy, the coupling engine
+(``cbdsys.coupling``) and scipy's HiGHS extension module; ``scipy.optimize``
+is never imported.  ``--version``, ``qq``, closed-form ``analyze`` and every
+input error load none of them, so they also run where numpy is missing.  An
+engine module or bindings that are missing or fail to load exit 2 with an
+``error:`` line.
 """
 
 from __future__ import annotations
 
+import importlib
 import logging
 import os
 import sys
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 import click
-import numpy as np
 
 from . import __version__
-from .coupling import CouplingConstraint, FeasibilityVerdict, decide
 from .cyclic import cbd_cyclic2, cyclic_criterion, detect_cyclic, qq_statistic
 from .errors import (
     CbdError,
@@ -67,7 +68,10 @@ from .scenarios import (
     check_double_slit,
     sample_double_slit_params,
 )
-from .system import EPS_PROB, consistency
+from .system import EPS_PROB, CouplingConstraint, System, consistency
+
+if TYPE_CHECKING:
+    from .coupling import FeasibilityVerdict
 
 EXIT_NONCONTEXTUAL = 0
 EXIT_INPUT_ERROR = 1
@@ -77,6 +81,20 @@ EXIT_CONTEXTUAL = 3
 log = logging.getLogger("cbdsys")
 
 _CONSTRAINTS = {c.value: c for c in CouplingConstraint}
+
+
+def _load(name: str):
+    """Import the module ``name`` for an LP run; SolverError if it fails."""
+    try:
+        return importlib.import_module(name)
+    except ImportError as exc:
+        raise SolverError(f"cannot load {name}: {exc}") from exc
+
+
+def decide(system: System, constraint: CouplingConstraint) -> FeasibilityVerdict:
+    """The coupling engine's decide, loading the engine and numpy on the
+    first call."""
+    return _load("cbdsys.coupling").decide(system, constraint)
 
 
 def _fail(message: str, code: int) -> NoReturn:
@@ -242,7 +260,7 @@ def double_slit(p, q, pp, qp, rp, sweep, seed, output, witness):
 def _double_slit_sweep(sweep: int, seed: int, output: str) -> NoReturn:
     if sweep <= 0:
         raise ParameterError("--sweep must be positive")
-    rng = np.random.default_rng(seed)
+    rng = _load("numpy").random.default_rng(seed)
     contextual = disagreements = 0
     for i in range(sweep):
         params = sample_double_slit_params(rng)

@@ -55,12 +55,17 @@ arrays and costs depend only on its *shape* (variable count, bunch positions,
 connection-pair positions), so they are built once per shape and kept in a
 bounded cache: a sweep over one scenario builds its LP once.
 
-The HiGHS bindings load on the first LP solve, not with this module, and
+Nothing loads this module, or numpy, until a program first needs the LP:
+``import cbdsys`` serves this module's names on first access, and the CLI
+imports it on its first :func:`decide`.  CouplingConstraint and
+max_equality_probability, which the closed forms share, live in
+:mod:`cbdsys.system` and are re-exported here.  numpy's import takes about
+40 ms on a 2-core VM, so a CLI run that needs no LP takes about 58 ms
+instead of 100 ms.  The HiGHS bindings load on the first LP solve, and
 alone: :func:`_highspy` loads that one extension module out of scipy's
-package directory (about 4 ms on a 2-core VM) and never imports ``scipy``
-or ``scipy.optimize``, whose import takes about 0.25 s there.  Code that
-never calls :func:`decide` loads nothing of scipy, and a CLI run that
-solves an LP takes about 0.12 s instead of 0.40 s.
+package directory (about 4 ms there) and never imports ``scipy`` or
+``scipy.optimize``, whose import takes about 0.25 s.  A CLI run that solves
+an LP takes about 0.11 s instead of 0.40 s.
 Each :func:`decide` logs one debug record (variable count, cliques, CNT1 LP
 rows x columns, HiGHS model status, simplex iteration count, degree,
 verdict) on this module's logger.
@@ -68,7 +73,6 @@ verdict) on this module's logger.
 
 from __future__ import annotations
 
-import enum
 import importlib.machinery
 import importlib.util
 import logging
@@ -85,6 +89,10 @@ import numpy as np
 from .errors import ConnectionSizeError, SolverError, SystemSizeError
 from .system import EPS_FEAS, System, connections, require_valid
 
+# The data model defines these, so the closed forms need not load this
+# module; they stay importable from here.
+from .system import CouplingConstraint, max_equality_probability  # noqa: F401
+
 log = logging.getLogger(__name__)
 
 #: Hard cap on the total variable count: a witness's dense joint has
@@ -98,32 +106,6 @@ TIGHT_TOL = 1e-10
 #: Distinct system shapes (variable count, bunch and pair positions) whose
 #: clique-tree LP is kept for reuse.
 SHAPE_CACHE_SIZE = 32
-
-
-class CouplingConstraint(enum.Enum):
-    """The property demanded of each within-connection pair of the coupling."""
-
-    EQUAL_ALWAYS = "equal-always"
-    MAX_EQUALITY = "max-equality"
-
-    def target(self, a: float, b: float) -> float:
-        """Required Pr[pair equal] given the pair's Pr[+1] marginals."""
-        if self is CouplingConstraint.EQUAL_ALWAYS:
-            return 1.0
-        return max_equality_probability(a, b)
-
-
-def max_equality_probability(a: float, b: float) -> float:
-    """Largest Pr[X = Y] over all couplings of two +1/-1 variables with
-    Pr[X=+1] = a and Pr[Y=+1] = b.
-
-    The optimal coupling matches as much mass as possible on each outcome,
-    giving min(a, b) + min(1-a, 1-b) = 1 - |a - b|; the formula holds at the
-    degenerate extremes too.
-    """
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise ValueError(f"marginals must lie in [0, 1], got a={a!r}, b={b!r}")
-    return min(a, b) + min(1.0 - a, 1.0 - b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,19 +369,24 @@ def _triangulate(m: int, edges) -> list[tuple[int, ...]]:
 
 def _clique_tree(cliques: list[tuple[int, ...]]) -> list[tuple[int, int]]:
     """Maximum-weight spanning tree on separator size (Prim, from clique 0),
-    as (parent, child) edges in the order the children join."""
+    as (parent, child) edges in the order the children join.
+
+    Each unjoined clique keeps its best (separator size, -parent) over the
+    joined ones, and the next to join is the max of (best, -child): ties go
+    to the larger separator, then the lowest parent, then the lowest child.
+    Joining a clique updates every other best once, so k cliques take
+    O(k**2) separator sizes.
+    """
     sets = [set(c) for c in cliques]
-    joined = [0]
+    best = {c: (len(sets[0] & sets[c]), 0) for c in range(1, len(cliques))}
     edges = []
-    while len(joined) < len(cliques):
-        _, parent, child = max(
-            (len(sets[p] & sets[c]), -p, -c)
-            for p in joined
-            for c in range(len(cliques))
-            if c not in joined
-        )
-        edges.append((-parent, -child))
-        joined.append(-child)
+    while best:
+        (_, parent), child = max((b, -c) for c, b in best.items())
+        parent, child = -parent, -child
+        del best[child]
+        edges.append((parent, child))
+        for c, b in best.items():
+            best[c] = max(b, (len(sets[child] & sets[c]), -child))
     return edges
 
 

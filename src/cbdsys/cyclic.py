@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coupling import CouplingConstraint
 from .errors import InconsistentSystemError, RankError
 from .system import (
     EPS_FEAS,
     EPS_PROB,
+    CouplingConstraint,
     System,
     consistency,
     expectation,

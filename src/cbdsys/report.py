@@ -8,10 +8,21 @@ verbatim from the operations that produced them.
 
 from __future__ import annotations
 
-from .coupling import CouplingConstraint, FeasibilityVerdict
+from typing import TYPE_CHECKING
+
 from .cyclic import CriterionResult, detect_cyclic
 from .fileio import dumps_canonical, format_float
-from .system import EPS_FEAS, EPS_PROB, System, connections, consistency
+from .system import (
+    EPS_FEAS,
+    EPS_PROB,
+    CouplingConstraint,
+    System,
+    connections,
+    consistency,
+)
+
+if TYPE_CHECKING:
+    from .coupling import FeasibilityVerdict
 
 NONCONTEXTUAL = "noncontextual"
 CONTEXTUAL = "contextual"

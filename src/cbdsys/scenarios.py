@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cyclic import CriterionResult
 from .errors import MomentError, ParameterError
 from .system import EPS_PROB, Bunch, Content, Context, System, build_system
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Double-slit contents: "did the particle reach the detector through this
 # slit in this state?"  Left slit first in each id pair.

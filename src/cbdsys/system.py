@@ -6,7 +6,9 @@ here means the set of contents measured jointly.  One random variable exists
 per (content, context) incidence.  Variables sharing a context are jointly
 distributed (a :class:`Bunch`); variables sharing a content across contexts
 (a :class:`Connection`) have no joint distribution at all, only marginals
-that can be compared.
+that can be compared.  A :class:`CouplingConstraint` names what a coupling
+demands of those comparisons; the closed-form criteria and the coupling
+engine share it.
 
 Encoding conventions, fixed for deterministic serialization:
 
@@ -18,6 +20,7 @@ Encoding conventions, fixed for deterministic serialization:
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -143,6 +146,32 @@ class ConsistencyReport:
 
     consistently_connected: bool
     max_marginal_gap: float
+
+
+class CouplingConstraint(enum.Enum):
+    """The property demanded of each within-connection pair of the coupling."""
+
+    EQUAL_ALWAYS = "equal-always"
+    MAX_EQUALITY = "max-equality"
+
+    def target(self, a: float, b: float) -> float:
+        """Required Pr[pair equal] given the pair's Pr[+1] marginals."""
+        if self is CouplingConstraint.EQUAL_ALWAYS:
+            return 1.0
+        return max_equality_probability(a, b)
+
+
+def max_equality_probability(a: float, b: float) -> float:
+    """Largest Pr[X = Y] over all couplings of two +1/-1 variables with
+    Pr[X=+1] = a and Pr[Y=+1] = b.
+
+    The optimal coupling matches as much mass as possible on each outcome,
+    giving min(a, b) + min(1-a, 1-b) = 1 - |a - b|; the formula holds at the
+    degenerate extremes too.
+    """
+    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+        raise ValueError(f"marginals must lie in [0, 1], got a={a!r}, b={b!r}")
+    return min(a, b) + min(1.0 - a, 1.0 - b)
 
 
 def build_system(

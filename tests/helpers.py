@@ -292,6 +292,25 @@ def max_equality_by_basis_enumeration(a: float, b: float) -> float:
     return best
 
 
+def clique_tree_by_rescanning(cliques: list[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """Maximum-weight spanning tree on separator size (Prim, from clique 0)
+    that rescans every (joined, unjoined) pair at each step: O(k**4) in the
+    clique count k, the reference for the library's O(k**2) clique tree."""
+    sets = [set(c) for c in cliques]
+    joined = [0]
+    edges = []
+    while len(joined) < len(cliques):
+        _, parent, child = max(
+            (len(sets[p] & sets[c]), -p, -c)
+            for p in joined
+            for c in range(len(cliques))
+            if c not in joined
+        )
+        edges.append((-parent, -child))
+        joined.append(-child)
+    return edges
+
+
 def max_deterministic_cyclic_lhs(n: int = 4) -> float:
     """Largest criterion left side any deterministic +1/-1 assignment can
     produce: the classical bound certified by exhaustive enumeration."""

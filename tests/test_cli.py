@@ -9,7 +9,14 @@ from pathlib import Path
 import pytest
 
 from cbdsys.fileio import format_float
-from golden_cases import CASES, EXPECTED_DIR, INPUT_DIR, GoldenCase, run_case
+from golden_cases import (
+    CASES,
+    EXPECTED_DIR,
+    INPUT_DIR,
+    GoldenCase,
+    resolve_args,
+    run_case,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -245,9 +252,10 @@ def test_sweep_disagreements_exit_two_and_keep_counts(monkeypatch):
         "error: 3 closed-form/LP disagreements")
 
 
-_SCIPY_PROBE = """
+_LOAD_PROBE = """
 import contextlib, io, json, sys
-names = ("scipy", "scipy.optimize", "scipy.optimize._highspy._core")
+names = ("scipy", "scipy.optimize", "scipy.optimize._highspy._core",
+         "numpy", "cbdsys.coupling")
 loaded = []
 def note():
     loaded.append([name in sys.modules for name in names])
@@ -269,7 +277,7 @@ print(json.dumps({"loaded": loaded, "codes": codes}))
 """
 
 
-def test_scipy_loads_only_for_an_lp_solve():
+def test_numpy_and_lp_engine_load_only_for_an_lp_solve():
     # A fresh interpreter: this process has imported scipy already.
     invocations = [
         ["--version"],
@@ -279,14 +287,88 @@ def test_scipy_loads_only_for_an_lp_solve():
         ["analyze", "--input", str(INPUT_DIR / "bell_pr_box.json"),
          "--method", "lp"],
     ]
-    proc = _run_python(["-c", _SCIPY_PROBE, json.dumps(invocations)], check=True)
+    proc = _run_python(["-c", _LOAD_PROBE, json.dumps(invocations)], check=True)
     doc = json.loads(proc.stdout)
     assert doc["codes"] == [0, 3, 0, 1, 3]
     # Before any import, after `import cbdsys`, after `import cbdsys.cli`,
-    # then after each invocation: only the last one solves an LP, and it
-    # loads the HiGHS bindings alone, never the scipy or scipy.optimize
-    # packages.
-    assert doc["loaded"] == [[False, False, False]] * 7 + [[False, False, True]]
+    # then after each invocation: only the last one solves an LP.  It loads
+    # numpy, the coupling engine and the HiGHS bindings alone, never the
+    # scipy or scipy.optimize packages.
+    assert doc["loaded"] == (
+        [[False, False, False, False, False]] * 7 + [[False, False, True, True, True]]
+    )
+
+
+_WITHOUT_NUMPY = (
+    "import runpy, sys; sys.modules['numpy'] = None;"
+    " runpy.run_module('cbdsys.cli', run_name='__main__', alter_sys=True)"
+)
+
+
+@pytest.mark.parametrize("case", [
+    c for c in CASES
+    if c.name in ("bell_mixed", "qq_identical", "qq_unequal_marginals", "qq_opposite",
+                  "bad_sum", "closed_form_needs_cycle", "qq_needs_rank2")
+], ids=lambda c: c.name)
+def test_closed_forms_and_input_errors_run_without_numpy(case):
+    # The entry point in a fresh interpreter that cannot import numpy.
+    proc = _run_python(["-c", _WITHOUT_NUMPY, *resolve_args(case)])
+    assert proc.returncode == case.exit_code, proc.stderr
+    if case.golden is not None:
+        assert proc.stdout == (EXPECTED_DIR / case.golden).read_text(encoding="utf-8")
+        assert proc.stderr == ""
+    else:
+        [line] = proc.stderr.splitlines()
+        assert case.stderr_contains in line
+
+
+@pytest.mark.parametrize("args, module", [
+    (("analyze", "--input", str(INPUT_DIR / "bell_pr_box.json"), "--method", "lp"),
+     "cbdsys.coupling"),
+    (_POINT, "cbdsys.coupling"),
+    (("double-slit", "--sweep", "3", "--seed", "1"), "numpy"),
+], ids=["analyze_lp", "double_slit_point", "double_slit_sweep"])
+def test_lp_run_without_numpy_exits_two(args, module):
+    proc = _run_python(["-c", _WITHOUT_NUMPY, *args])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"error: cannot load {module}: ")
+    assert "numpy" in line.removeprefix(f"error: cannot load {module}")
+
+
+_API_PROBE = """
+import sys
+import cbdsys
+eager = set(vars(cbdsys))
+lazy = set(cbdsys.__all__) - eager
+assert lazy == {"M_MAX", "CouplingWitness", "FeasibilityProblem", "FeasibilityVerdict",
+                "build_feasibility_problem", "coupling_variables", "decide",
+                "witness_violation"}, lazy
+assert set(cbdsys.__all__) <= set(dir(cbdsys))
+assert not hasattr(cbdsys, "no_such_name")
+assert "cbdsys.coupling" not in sys.modules and "numpy" not in sys.modules
+values = {name: getattr(cbdsys, name) for name in cbdsys.__all__}
+import cbdsys.coupling
+assert lazy <= set(vars(cbdsys))
+assert all(values[name] is getattr(cbdsys.coupling, name) for name in lazy)
+namespace = {}
+exec("from cbdsys import *", namespace)
+assert all(namespace[name] is values[name] for name in cbdsys.__all__)
+assert (cbdsys.CouplingConstraint is cbdsys.system.CouplingConstraint
+        is cbdsys.coupling.CouplingConstraint)
+assert (cbdsys.max_equality_probability is cbdsys.system.max_equality_probability
+        is cbdsys.coupling.max_equality_probability)
+print("ok")
+"""
+
+
+def test_public_api_resolves_with_the_engine_loaded_lazily():
+    # Every name in __all__ resolves, and the coupling names come from the
+    # engine on first access, not with `import cbdsys`.
+    proc = _run_python(["-c", _API_PROBE])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 _ORDER_PROBE = """

@@ -36,6 +36,7 @@ from cbdsys.coupling import SHAPE_CACHE_SIZE, _shape
 from helpers import (
     brute_force_decide,
     build_joint_problem,
+    clique_tree_by_rescanning,
     cycle_from_moments,
     cyclic_criterion_margin,
     flip_content,
@@ -545,6 +546,24 @@ class TestCliqueProblem:
                 holders = {i for i, c in enumerate(cliques) if j in c}
                 links = [e for e in problem.tree if set(e) <= holders]
                 assert len(links) == len(holders) - 1
+
+    def test_clique_tree_matches_rescanning_prim(self, rng):
+        # The O(k**2) Prim breaks ties exactly as the rescanning one, so the
+        # trees, and with them the LP rows and witnesses, are identical.
+        for _ in range(300):
+            problem = build_feasibility_problem(random_small_system(rng, 12), ME)
+            assert list(problem.tree) == clique_tree_by_rescanning(list(problem.cliques))
+
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_clique_tree_matches_rescanning_prim_on_long_cycles(self, n):
+        # Rank-n cycle shapes past M_MAX: context i holds variables 2i and
+        # 2i + 1, and variable 2i + 1 shares its content with 2i + 2.
+        m = 2 * n
+        edges = [(2 * i, 2 * i + 1) for i in range(n)]
+        edges += [(2 * i + 1, (2 * i + 2) % m) for i in range(n)]
+        cliques = coupling._triangulate(m, edges)
+        assert len(cliques) == m - 2
+        assert coupling._clique_tree(cliques) == clique_tree_by_rescanning(cliques)
 
     @pytest.mark.parametrize("n", [4, 10])
     def test_cycle_is_far_smaller_than_joint(self, n, rng):
