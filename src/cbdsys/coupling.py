@@ -38,13 +38,14 @@ units (Dzhafarov, Kujala & Cervantes, PRA 101, 042119, 2020), so both routes
 compare one number with EPS_FEAS.  The LP always has a solution, since the
 product of the bunches is a coupling, and one HiGHS run decides it: called
 directly through the bindings scipy ships (``scipy.optimize._highspy._core``),
-dual simplex without presolve at TIGHT_TOL tolerances, a fresh solver for
-every solve.  When the degree is at most EPS_FEAS the witness stays in
-clique-tree form: the root's table, then each child's table conditioned on
-its separator.  Their product is the glued joint.  One top-down pass over the
-tree gives every clique's marginal of that joint, and the witness is checked
-against every bunch, equal and mass row per clique, in work bounded by the
-clique-table sizes, not by 2**m.  The dense 2**m joint is built only when
+dual simplex without presolve at TIGHT_TOL tolerances, on one instance per
+thread, which ``passModel`` resets for every solve.  When the degree is at
+most EPS_FEAS the witness stays in clique-tree form: the root's table, then
+each child's table conditioned on its separator.  Their product is the glued
+joint.  One top-down pass over the tree gives every clique's marginal of
+that joint, and the witness is checked against every bunch, equal and mass
+row per clique, in work bounded by the clique-table sizes, not by 2**m.  The
+dense 2**m joint, a read-only float64 array, is built only when
 :attr:`CouplingWitness.probs` is first read; :func:`witness_violation`
 still checks any claimed witness by enumerating it.  M_MAX bounds the size
 of that dense joint.
@@ -81,7 +82,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -218,8 +219,8 @@ class CouplingWitness:
     ``CouplingWitness(variables, (tuple(range(m)),), (), (probs,))``.
 
     ``probs`` is that joint over all 2**m assignments, in FeasibilityProblem's
-    bit order; it is built on first read and kept.  Witnesses compare by
-    identity, never by their arrays.
+    bit order, as a read-only float64 array; it is built on first read and
+    kept.  Witnesses compare by identity, never by their arrays.
     """
 
     variables: tuple[tuple[str, str], ...]
@@ -228,7 +229,7 @@ class CouplingWitness:
     tables: tuple[np.ndarray, ...]
 
     @cached_property
-    def probs(self) -> tuple[float, ...]:
+    def probs(self) -> np.ndarray:
         """The product of the tables, taken over the joint viewed as an
         m-axis array whose axis k carries variable m-1-k (C order, so bit j
         of the flat index is variable j).  A table over ascending positions
@@ -242,7 +243,9 @@ class CouplingWitness:
         joint = spread(self.cliques[0], self.tables[0])
         for (_, child), table in zip(self.tree, self.tables[1:]):
             joint = joint * spread(self.cliques[child], table)
-        return tuple(joint.reshape(-1).tolist())
+        probs = joint.reshape(-1).astype(np.float64, copy=False)
+        probs.flags.writeable = False
+        return probs
 
 
 @dataclass(frozen=True)
@@ -308,9 +311,9 @@ def _marginals(system: System, constraint: CouplingConstraint) -> _Marginals:
             f" limit is 2^{M_MAX}"
         )
     pos = {var: j for j, var in enumerate(variables)}
+    probs = {bunch.context: bunch.probs for bunch in system.bunches}
     bunches = tuple(
-        (ctx.id, tuple(pos[(q, ctx.id)] for q in ctx.contents),
-         system.bunch(ctx.id).probs)
+        (ctx.id, tuple(pos[(q, ctx.id)] for q in ctx.contents), probs[ctx.id])
         for ctx in system.contexts
     )
     pairs = []
@@ -580,26 +583,40 @@ def _highspy():
         return module
 
 
-@cache
-def _highs_options():
-    """HiGHS options for the CNT1 LP: no presolve, dual simplex, no output,
-    TIGHT_TOL primal and dual feasibility tolerances."""
-    highspy = _highspy()
-    options = highspy.HighsOptions()
-    options.presolve = "off"
-    options.simplex_strategy = highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.highs_debug_level = highspy.kHighsDebugLevelNone
-    options.output_flag = options.log_to_console = False
-    options.primal_feasibility_tolerance = TIGHT_TOL
-    options.dual_feasibility_tolerance = TIGHT_TOL
-    return options
+_local = threading.local()
+
+
+def _solver():
+    """This thread's HiGHS instance, made on its first solve with the CNT1
+    options: no presolve, dual simplex, no output, TIGHT_TOL primal and dual
+    feasibility tolerances.
+
+    Threads never share an instance, so systems are decided concurrently
+    without locks.  Each solve hands the instance a new model, and
+    ``passModel`` resets every solver state, so no basis carries over from
+    one system to the next.
+    """
+    highs = getattr(_local, "highs", None)
+    if highs is None:
+        highspy = _highspy()
+        options = highspy.HighsOptions()
+        options.presolve = "off"
+        options.simplex_strategy = highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        options.highs_debug_level = highspy.kHighsDebugLevelNone
+        options.output_flag = options.log_to_console = False
+        options.primal_feasibility_tolerance = TIGHT_TOL
+        options.dual_feasibility_tolerance = TIGHT_TOL
+        highs = highspy._Highs()
+        highs.passOptions(options)
+        _local.highs = highs
+    return highs
 
 
 def _solve_cnt1(problem: FeasibilityProblem) -> _Solve:
     """Maximize the sum of Pr[pair equal] subject to every bunch entry, the
-    total mass and every separator row as equalities, and x >= 0.  Each
-    call runs a fresh HiGHS instance, so no basis carries over from an
-    earlier system.
+    total mass and every separator row as equalities, and x >= 0, on this
+    thread's HiGHS instance (:func:`_solver`); ``passModel`` resets it, so
+    no basis carries over from an earlier system.
 
     Returns the degree, twice (sum of pair targets - that maximum) clamped
     at 0, and the clique tables attaining the maximum.
@@ -621,21 +638,20 @@ def _solve_cnt1(problem: FeasibilityProblem) -> _Solve:
     lp.col_upper_ = shape.lp_upper
     lp.row_lower_ = lp.row_upper_ = b
 
-    highs = highspy._Highs()
-    highs.passOptions(_highs_options())
+    highs = _solver()
     highs.passModel(lp)
     highs.run()
     status = highs.getModelStatus()
     name = highs.modelStatusToString(status)
     if status != highspy.HighsModelStatus.kOptimal:
         raise SolverError(f"LP solver failed: HiGHS model status {name!r}")
-    info = highs.getInfo()
-    deficit = sum(rhs[pairs]) + info.objective_function_value
+    deficit = sum(rhs[pairs]) + highs.getObjectiveValue()
+    _, iterations = highs.getInfoValue("simplex_iteration_count")
     return _Solve(
         max(0.0, 2.0 * deficit),
         np.array(highs.getSolution().col_value),
         name,
-        info.simplex_iteration_count,
+        iterations,
     )
 
 
@@ -684,7 +700,7 @@ def witness_violation(
     marg = _marginals(system, constraint)
     if witness.variables != marg.variables:
         raise ValueError("witness variable order does not match the system's")
-    x = np.asarray(witness.probs, dtype=np.float64)
+    x = witness.probs
     if x.shape != (1 << len(marg.variables),):
         raise ValueError(
             f"witness has {x.size} entries, expected {1 << len(marg.variables)}"

@@ -78,7 +78,7 @@ def witness_entry(verdict: FeasibilityVerdict) -> dict | None:
         return None
     return {
         "variables": [[content, context] for content, context in verdict.witness.variables],
-        "probs": list(verdict.witness.probs),
+        "probs": verdict.witness.probs.tolist(),
     }
 
 

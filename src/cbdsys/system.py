@@ -234,11 +234,12 @@ def validate_system(system: System) -> list[str]:
                 )
 
     by_context: dict[str, Bunch] = {}
+    declared_contexts = set(ctx_ids)
     for bunch in system.bunches:
         if bunch.context in by_context:
             violations.append(f"more than one bunch for context {bunch.context!r}")
         by_context[bunch.context] = bunch
-        if bunch.context not in set(ctx_ids):
+        if bunch.context not in declared_contexts:
             violations.append(
                 f"bunch references undeclared context {bunch.context!r}"
             )
@@ -324,10 +325,12 @@ def product_expectation(bunch: Bunch, a: str, b: str) -> float:
 
 def connections(system: System) -> list[Connection]:
     """One Connection per declared content, members in context-declaration order."""
+    # Each context's first bunch, the one System.bunch finds.
+    bunches = {bunch.context: bunch for bunch in reversed(system.bunches)}
     out = []
     for content in system.contents:
         members = tuple(
-            (ctx.id, marginal(system.bunch(ctx.id), content.id))
+            (ctx.id, marginal(bunches[ctx.id], content.id))
             for ctx in system.contexts
             if content.id in ctx.contents
         )

@@ -30,6 +30,7 @@ from cbdsys import (
     connections,
     coupling_variables,
 )
+from cbdsys import coupling
 
 #: brute_force_decide builds dense 2**m tableaus; keep them small.
 BRUTE_M_MAX = 12
@@ -309,6 +310,53 @@ def clique_tree_by_rescanning(cliques: list[tuple[int, ...]]) -> list[tuple[int,
         edges.append((-parent, -child))
         joined.append(-child)
     return edges
+
+
+def solve_cnt1_fresh(problem):
+    """The library's CNT1 solve on a new HiGHS instance made for this one
+    call, with the options passed again: the reference for the library's
+    one instance per thread, whose results must not depend on what it
+    solved before."""
+    highspy = coupling._highspy()
+    shape = problem.shape
+    rhs, pairs = problem.rhs.tolist(), shape.pair_rows
+    b = rhs[:pairs.start] + rhs[pairs.stop:]
+    n = len(shape.lp_cost)
+    lp = highspy.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(b)
+    lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = shape.lp_start
+    lp.a_matrix_.index_ = shape.lp_index
+    lp.a_matrix_.value_ = shape.lp_value
+    lp.col_cost_ = shape.lp_cost
+    lp.col_lower_ = shape.lp_lower
+    lp.col_upper_ = shape.lp_upper
+    lp.row_lower_ = lp.row_upper_ = b
+
+    options = highspy.HighsOptions()
+    options.presolve = "off"
+    options.simplex_strategy = highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = highspy.kHighsDebugLevelNone
+    options.output_flag = options.log_to_console = False
+    options.primal_feasibility_tolerance = coupling.TIGHT_TOL
+    options.dual_feasibility_tolerance = coupling.TIGHT_TOL
+    highs = highspy._Highs()
+    highs.passOptions(options)
+    highs.passModel(lp)
+    highs.run()
+    status = highs.getModelStatus()
+    name = highs.modelStatusToString(status)
+    if status != highspy.HighsModelStatus.kOptimal:
+        raise SolverError(f"LP solver failed: HiGHS model status {name!r}")
+    info = highs.getInfo()
+    deficit = sum(rhs[pairs]) + info.objective_function_value
+    return coupling._Solve(
+        max(0.0, 2.0 * deficit),
+        np.array(highs.getSolution().col_value),
+        name,
+        info.simplex_iteration_count,
+    )
 
 
 def max_deterministic_cyclic_lhs(n: int = 4) -> float:

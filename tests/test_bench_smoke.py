@@ -1,0 +1,35 @@
+"""One untimed round of three benchmark workloads, in process.
+
+The benchmark under ``bench/`` checks every output it times against its own
+reference; a round here runs those same checks, so a change that would make
+the benchmark report a failure fails here first.  Only reads ``bench/``:
+nothing is written there, not even bytecode.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    path, dont_write = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, str(BENCH))
+    sys.dont_write_bytecode = True
+    try:
+        import workloads
+    finally:
+        sys.path[:], sys.dont_write_bytecode = path, dont_write
+    return workloads
+
+
+@pytest.mark.parametrize("name", ["CyclicLP", "LargeM", "FilesClosedForm"])
+def test_one_round_has_no_failure(workloads, name):
+    workload = getattr(workloads, name)(1)
+    done = workload.round(workloads.untraced, False)
+    assert len(done.times) == len(workload.ops) > 0
+    assert done.failed == 0
+    assert done.problems == []

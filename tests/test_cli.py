@@ -189,10 +189,12 @@ def test_solver_error_exits_two(monkeypatch, args):
 def test_non_optimal_highs_status_exits_two(monkeypatch):
     from scipy.optimize._highspy import _core
 
-    real = _core._Highs
+    from cbdsys import coupling
+
+    real = coupling._solver
 
     class Stalled:
-        """A HiGHS instance that reports running out of iterations."""
+        """This thread's HiGHS instance, reporting running out of iterations."""
 
         def __init__(self):
             self._highs = real()
@@ -203,7 +205,7 @@ def test_non_optimal_highs_status_exits_two(monkeypatch):
         def getModelStatus(self):
             return _core.HighsModelStatus.kIterationLimit
 
-    monkeypatch.setattr(_core, "_Highs", Stalled)
+    monkeypatch.setattr(coupling, "_solver", Stalled)
     result = _invoke(("analyze", "--input", str(INPUT_DIR / "bell_mixed.json"),
                       "--method", "lp"))
     assert result.exit_code == 2

@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -32,7 +33,7 @@ from cbdsys import (
     witness_violation,
 )
 from cbdsys import coupling
-from cbdsys.coupling import SHAPE_CACHE_SIZE, _shape
+from cbdsys.coupling import SHAPE_CACHE_SIZE, FeasibilityProblem, _shape
 from helpers import (
     brute_force_decide,
     build_joint_problem,
@@ -49,6 +50,7 @@ from helpers import (
     random_rank2,
     random_rank4_general,
     random_small_system,
+    solve_cnt1_fresh,
 )
 
 EA = CouplingConstraint.EQUAL_ALWAYS
@@ -400,7 +402,9 @@ class TestShapeCache:
             verdict = decide(system, ME)
             assert verdict.feasible
             assert verdict.witness.variables == coupling_variables(system)
-            assert (verdict.max_constraint_violation, verdict.witness.probs) == cold[name]
+            violation, probs = cold[name]
+            assert verdict.max_constraint_violation == violation
+            assert np.array_equal(verdict.witness.probs, probs)
             assert witness_violation(system, ME, verdict.witness) <= EPS_FEAS
         info = _shape.cache_info()
         assert (info.misses, info.hits) == (1, 2)
@@ -452,6 +456,93 @@ def test_highs_bindings_without_scipy_raise_solver_error(monkeypatch):
         r" cbdsys needs scipy>=1\.17$"
     )):
         coupling._highspy()
+
+
+def _solver_cases() -> list[tuple]:
+    """1,032 seeded (system, constraint) pairs: 60 rank-2 and 60 rank-4
+    systems, 300 random small systems of up to 12 variables and 96 cycles
+    of rank 3 to 10 (m up to 20), each under both constraints."""
+    rng = np.random.default_rng(1212)
+    systems = [random_rank2(rng) for _ in range(60)]
+    systems += [random_rank4_general(rng) for _ in range(60)]
+    systems += [random_small_system(rng, 12) for _ in range(300)]
+    systems += [
+        random_cycle(rng, n, consistent)
+        for n in range(3, 11) for consistent in (False, True) for _ in range(6)
+    ]
+    return [(system, constraint) for system in systems for constraint in (EA, ME)]
+
+
+def _solve_bits(solve) -> tuple:
+    return (solve.degree.hex(), solve.x.tobytes(), solve.status, solve.iterations)
+
+
+def _verdict_bits(verdict) -> tuple:
+    tables = verdict.witness.tables if verdict.feasible else ()
+    return (
+        verdict.feasible, verdict.degree.hex(), verdict.boundary,
+        verdict.max_constraint_violation.hex(), tuple(t.tobytes() for t in tables),
+    )
+
+
+class TestSolverInstance:
+    """Each thread solves on one HiGHS instance (coupling._solver).  What it
+    solved before must not show: every solve equals one on a new instance
+    (helpers.solve_cnt1_fresh), bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        return [build_feasibility_problem(*case) for case in _solver_cases()]
+
+    def test_one_instance_per_thread(self):
+        assert coupling._solver() is coupling._solver()
+        other = []
+        thread = threading.Thread(target=lambda: other.append(coupling._solver()))
+        thread.start()
+        thread.join()
+        assert other[0] is not coupling._solver()
+
+    def test_any_order_matches_a_fresh_solver(self, problems):
+        oracle = [_solve_bits(solve_cnt1_fresh(problem)) for problem in problems]
+        order = np.random.default_rng(12).permutation(len(problems)).tolist()
+        for i in order + order[::-1]:
+            assert _solve_bits(coupling._solve_cnt1(problems[i])) == oracle[i], i
+
+    def test_failed_solve_leaves_the_instance_clean(self, problems):
+        # Halving every bunch entry makes the bunch rows sum to 1/2 while
+        # the mass row asks for 1, so the LP has no solution.
+        problem = next(p for p in problems if len(p.cliques) > 1)
+        rhs = problem.rhs.copy()
+        rhs[:problem.shape.pair_rows.start] *= 0.5
+        broken = FeasibilityProblem(problem.variables, problem.shape, rhs, problem.row_labels)
+        for solve in (solve_cnt1_fresh, coupling._solve_cnt1):
+            with pytest.raises(SolverError, match=r"^LP solver failed: HiGHS model status "):
+                solve(broken)
+        for later in problems[:50]:
+            assert _solve_bits(coupling._solve_cnt1(later)) == _solve_bits(solve_cnt1_fresh(later))
+
+    def test_threads_match_a_serial_run(self):
+        # Four threads decide the same 258 cases, each in its own order.
+        cases = _solver_cases()[::4]
+        serial = [_verdict_bits(decide(*case)) for case in cases]
+        results = [[None] * len(cases) for _ in range(4)]
+
+        def work(k):
+            for i in np.random.default_rng(k).permutation(len(cases)).tolist():
+                results[k][i] = _verdict_bits(decide(*cases[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for k in range(4):
+            assert results[k] == serial, k
 
 
 class TestBruteForceDecide:
