@@ -229,6 +229,8 @@ def double_slit(p, q, pp, qp, rp, sweep, seed, output, witness):
     if sweep is not None:
         if any(v is not None for v in point):
             raise ParameterError("--sweep replaces the explicit parameters")
+        if witness:
+            raise ParameterError("--witness applies to a single run, not to --sweep")
         _double_slit_sweep(sweep, seed, output)
     if any(v is None for v in point):
         raise ParameterError("need all of --p --q --pp --qp --rp (or --sweep N)")
@@ -260,6 +262,8 @@ def double_slit(p, q, pp, qp, rp, sweep, seed, output, witness):
 def _double_slit_sweep(sweep: int, seed: int, output: str) -> NoReturn:
     if sweep <= 0:
         raise ParameterError("--sweep must be positive")
+    if seed < 0:
+        raise ParameterError("--seed must be non-negative")
     rng = _load("numpy").random.default_rng(seed)
     contextual = disagreements = 0
     for i in range(sweep):

@@ -88,7 +88,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConnectionSizeError, SolverError, SystemSizeError
-from .system import EPS_FEAS, System, connections, require_valid
+from .system import EPS_FEAS, System, connections
 
 # The data model defines these, so the closed forms need not load this
 # module; they stay importable from here.
@@ -287,15 +287,12 @@ class _Marginals:
 def coupling_variables(system: System) -> tuple[tuple[str, str], ...]:
     """(content, context) pairs in canonical order: contexts as declared,
     contents in context order."""
-    return tuple(
-        (q, ctx.id) for ctx in system.contexts for q in ctx.contents
-    )
+    return tuple((q, b.context) for b in system.bunches for q in b.contents)
 
 
 def _marginals(system: System, constraint: CouplingConstraint) -> _Marginals:
-    """Requires a valid system whose connections all have at most two members
-    and whose total variable count does not exceed M_MAX."""
-    require_valid(system)
+    """Requires connections of at most two members each and at most M_MAX
+    variables in all (a System is valid by construction)."""
     conns = connections(system)
     for conn in conns:
         if len(conn.members) > 2:
@@ -311,10 +308,9 @@ def _marginals(system: System, constraint: CouplingConstraint) -> _Marginals:
             f" limit is 2^{M_MAX}"
         )
     pos = {var: j for j, var in enumerate(variables)}
-    probs = {bunch.context: bunch.probs for bunch in system.bunches}
     bunches = tuple(
-        (ctx.id, tuple(pos[(q, ctx.id)] for q in ctx.contents), probs[ctx.id])
-        for ctx in system.contexts
+        (b.context, tuple(pos[(q, b.context)] for q in b.contents), b.probs)
+        for b in system.bunches
     )
     pairs = []
     for conn in conns:
@@ -521,8 +517,8 @@ def build_feasibility_problem(
 ) -> FeasibilityProblem:
     """Assemble the clique-tree LP deciding C-coupling existence.
 
-    Requires a valid system whose connections all have at most two members
-    and whose total variable count does not exceed M_MAX.
+    Requires connections of at most two members each and at most M_MAX
+    variables in all (a System is valid by construction).
     """
     return _clique_problem(_marginals(system, constraint))
 

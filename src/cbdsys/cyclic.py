@@ -92,25 +92,22 @@ def detect_cyclic(system: System) -> CyclicLayout | None:
     two contents, contents in other than two contexts, or multiple disjoint
     cycles.
     """
-    if any(len(ctx.contents) != 2 for ctx in system.contexts):
+    if any(len(b.contents) != 2 for b in system.bunches):
         return None
 
     holders: dict[str, list[str]] = {c.id: [] for c in system.contents}
-    for ctx in system.contexts:
-        for q in ctx.contents:
-            if q not in holders:
-                return None
-            holders[q].append(ctx.id)
+    for b in system.bunches:
+        for q in b.contents:
+            holders[q].append(b.context)
     if any(len(ctxs) != 2 for ctxs in holders.values()):
         return None
 
-    rank = len(system.contexts)
-    if rank != len(system.contents):
-        return None
-
+    # Every context holds two contents and every content sits in two
+    # contexts, so there are as many contexts as contents.
+    rank = len(system.bunches)
     other_content = {
-        ctx.id: {ctx.contents[0]: ctx.contents[1], ctx.contents[1]: ctx.contents[0]}
-        for ctx in system.contexts
+        b.context: {b.contents[0]: b.contents[1], b.contents[1]: b.contents[0]}
+        for b in system.bunches
     }
 
     start = min(holders)
@@ -123,8 +120,6 @@ def detect_cyclic(system: System) -> CyclicLayout | None:
     order: list[tuple[str, tuple[str, str]]] = []
     q, cur = start, first_ctx
     for _ in range(rank):
-        if holders[q][0] == holders[q][1]:
-            return None  # a context listing one content twice is not a cycle
         prev = holders[q][0] if holders[q][1] == cur else holders[q][1]
         order.append((q, (prev, cur)))
         q = other_content[cur][q]

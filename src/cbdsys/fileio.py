@@ -31,8 +31,8 @@ import math
 from pathlib import Path
 from typing import IO, Any
 
-from .errors import ParseError, ValidationError
-from .system import NO, YES, Bunch, Content, Context, System, validate_system
+from .errors import ParseError
+from .system import NO, YES, Bunch, Content, System
 
 DEFAULT_VALUE_ALIASES = {"Yes": YES, "No": NO, "+1": YES, "-1": NO, "1": YES}
 
@@ -101,7 +101,8 @@ def _value_aliases(doc: dict) -> dict[str, int]:
     if not isinstance(extra, dict):
         raise ParseError('"values" must be an object mapping labels to +1/-1')
     for label, value in extra.items():
-        if value not in (1, -1):
+        # True == 1, so JSON true would otherwise pass as +1.
+        if isinstance(value, bool) or value not in (1, -1):
             raise ParseError(
                 f'value alias {label!r} maps to {value!r}; outcomes must be'
                 " binary (+1 or -1)"
@@ -187,7 +188,6 @@ def parse_system_text(text: str) -> System:
             raise ParseError(f"content entries need an id, got {entry!r}")
         contents.append(Content(str(entry["id"]), str(entry.get("label", ""))))
 
-    contexts = []
     bunches = []
     for entry in doc["contexts"]:
         if not isinstance(entry, dict) or "id" not in entry:
@@ -205,14 +205,9 @@ def parse_system_text(text: str) -> System:
             raise ParseError(
                 f'context {cid!r} needs "probs" as a vector or an outcome map'
             )
-        contexts.append(Context(cid, tuple(members)))
         bunches.append(Bunch(cid, tuple(members), tuple(probs)))
 
-    system = System(tuple(contents), tuple(contexts), tuple(bunches))
-    violations = validate_system(system)
-    if violations:
-        raise ValidationError(violations)
-    return system
+    return System(tuple(contents), tuple(bunches))
 
 
 def system_to_dict(system: System) -> dict:
@@ -220,12 +215,8 @@ def system_to_dict(system: System) -> dict:
     return {
         "contents": [{"id": c.id, "label": c.label} for c in system.contents],
         "contexts": [
-            {
-                "id": ctx.id,
-                "contents": list(ctx.contents),
-                "probs": list(system.bunch(ctx.id).probs),
-            }
-            for ctx in system.contexts
+            {"id": b.context, "contents": list(b.contents), "probs": list(b.probs)}
+            for b in system.bunches
         ],
     }
 

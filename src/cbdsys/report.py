@@ -33,7 +33,7 @@ def system_summary(system: System) -> dict:
     report = consistency(system)
     return {
         "contents": [c.id for c in system.contents],
-        "contexts": [c.id for c in system.contexts],
+        "contexts": [b.context for b in system.bunches],
         "cyclic_rank": layout.rank if layout is not None else None,
         "consistently_connected": report.consistently_connected,
         "max_marginal_gap": report.max_marginal_gap,

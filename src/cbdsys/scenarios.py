@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .cyclic import CriterionResult
 from .errors import MomentError, ParameterError
-from .system import EPS_PROB, Bunch, Content, Context, System, build_system
+from .system import EPS_PROB, Bunch, Content, System, build_system
 
 if TYPE_CHECKING:
     import numpy as np
@@ -171,8 +171,13 @@ class QuestionOrderParams:
         if self.joint_ab.context == self.joint_ba.context:
             raise ParameterError("the two asking orders need distinct context ids")
         for bunch in (self.joint_ab, self.joint_ba):
-            total = math.fsum(bunch.probs)
-            if len(bunch.probs) != 4 or abs(total - 1.0) > EPS_PROB or min(bunch.probs) < 0:
+            # The range check comes first: NaN fails it, but would make the
+            # sum NaN and pass the sum check, and huge entries overflow fsum.
+            if not (
+                len(bunch.probs) == 4
+                and all(0.0 <= v <= 1.0 + EPS_PROB for v in bunch.probs)
+                and abs(math.fsum(bunch.probs) - 1.0) <= EPS_PROB
+            ):
                 raise ParameterError(
                     f"bunch for context {bunch.context!r} is not a distribution"
                 )
@@ -194,15 +199,7 @@ class QuestionOrderParams:
 def build_question_order(params: QuestionOrderParams) -> System:
     """Rank-2 system for a question pair asked in both orders."""
     qa, qb = params.joint_ab.contents
-    contexts = (
-        Context(params.joint_ab.context, (qa, qb)),
-        Context(params.joint_ba.context, (qa, qb)),
-    )
-    return System(
-        contents=(Content(qa), Content(qb)),
-        contexts=contexts,
-        bunches=(params.joint_ab, params.joint_ba),
-    )
+    return System((Content(qa), Content(qb)), (params.joint_ab, params.joint_ba))
 
 
 def _bunch_from_moments(ea: float, eb: float, eab: float) -> tuple[float, ...]:

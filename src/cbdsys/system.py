@@ -4,11 +4,15 @@ A *content* is a measured property (a question asked, a slit's state); a
 *context* is the full set of conditions a measurement is made under, which
 here means the set of contents measured jointly.  One random variable exists
 per (content, context) incidence.  Variables sharing a context are jointly
-distributed (a :class:`Bunch`); variables sharing a content across contexts
-(a :class:`Connection`) have no joint distribution at all, only marginals
-that can be compared.  A :class:`CouplingConstraint` names what a coupling
-demands of those comparisons; the closed-form criteria and the coupling
-engine share it.
+distributed, and they form that context's :class:`Bunch`, the one record a
+:class:`System` keeps per context.  Variables sharing a content across
+contexts (a :class:`Connection`) have no joint distribution at all, only
+marginals that can be compared.  A :class:`CouplingConstraint` names what a
+coupling demands of those comparisons; the closed-form criteria and the
+coupling engine share it.
+
+A System is validated when it is built: an invalid one raises
+ValidationError, so every System that exists is valid.
 
 Encoding conventions, fixed for deterministic serialization:
 
@@ -23,9 +27,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import ContentNotInContextError
+from .errors import ContentNotInContextError, ValidationError
 
 #: Probability bookkeeping tolerance: validation slack and renormalization window.
 EPS_PROB = 1e-9
@@ -70,21 +75,21 @@ class Content:
 
 @dataclass(frozen=True)
 class Context:
-    """A measurement condition: the ordered list of contents measured jointly."""
+    """A measurement condition: the ordered list of contents measured jointly.
+
+    A read-only view of a bunch's id and contents (see System.contexts).
+    """
 
     id: str
     contents: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "contents", tuple(self.contents))
-
 
 @dataclass(frozen=True)
 class Bunch:
-    """Joint distribution of all variables sharing one context.
+    """One context and the joint distribution of all variables sharing it.
 
-    ``contents`` repeats the owning context's ordered content list so a bunch
-    is self-describing; validate_system checks the two stay coherent.
+    ``context`` is the context's id and ``contents`` its ordered content
+    list, which fixes the bit order of ``probs``.
     """
 
     context: str
@@ -107,16 +112,24 @@ class Bunch:
 
 @dataclass(frozen=True)
 class System:
-    """A context-content system: contents, contexts, and one bunch per context."""
+    """A context-content system: its contents and one bunch per context.
+
+    Building one runs require_valid, so an invalid system raises
+    ValidationError, listing every violation, and never exists.
+    """
 
     contents: tuple[Content, ...]
-    contexts: tuple[Context, ...]
     bunches: tuple[Bunch, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "contents", tuple(self.contents))
-        object.__setattr__(self, "contexts", tuple(self.contexts))
         object.__setattr__(self, "bunches", tuple(self.bunches))
+        require_valid(self)
+
+    @cached_property
+    def contexts(self) -> tuple[Context, ...]:
+        """The contexts, in declaration order, as (id, contents) views."""
+        return tuple(Context(b.context, b.contents) for b in self.bunches)
 
     def bunch(self, context_id: str) -> Bunch:
         for b in self.bunches:
@@ -188,76 +201,52 @@ def build_system(
             content_objs.append(Content(c))
         else:
             content_objs.append(Content(*c))
-    contexts = tuple(Context(cid, tuple(members)) for cid, members, _ in tables)
     bunches = tuple(
         Bunch(cid, tuple(members), tuple(probs)) for cid, members, probs in tables
     )
-    return System(tuple(content_objs), contexts, bunches)
+    return System(tuple(content_objs), bunches)
 
 
 def validate_system(system: System) -> list[str]:
     """Return every violated invariant of ``system`` (empty list = valid).
 
     Violations are data, not failures: non-finite or negative probabilities,
-    bunch sums off by more than EPS_PROB, dangling ids, and structural
-    mismatches are all collected rather than raised.
+    bunch sums off by more than EPS_PROB, dangling or duplicate ids, and
+    vectors of the wrong length are all collected rather than raised.
     """
     violations: list[str] = []
 
-    if not system.contexts:
+    if not system.bunches:
         violations.append("system declares no contexts")
 
-    declared = [c.id for c in system.contents]
-    seen: set[str] = set()
-    for cid in declared:
-        if cid in seen:
-            violations.append(f"duplicate content id {cid!r}")
-        seen.add(cid)
+    for kind, ids in (
+        ("content", [c.id for c in system.contents]),
+        ("context", [b.context for b in system.bunches]),
+    ):
+        seen: set[str] = set()
+        for cid in ids:
+            if cid in seen:
+                violations.append(f"duplicate {kind} id {cid!r}")
+            seen.add(cid)
 
-    ctx_ids = [c.id for c in system.contexts]
-    seen = set()
-    for cid in ctx_ids:
-        if cid in seen:
-            violations.append(f"duplicate context id {cid!r}")
-        seen.add(cid)
-
-    known = set(declared)
-    for ctx in system.contexts:
-        if not ctx.contents:
-            violations.append(f"context {ctx.id!r} holds no contents")
-        if len(set(ctx.contents)) != len(ctx.contents):
-            violations.append(f"context {ctx.id!r} lists a content twice")
-        for q in ctx.contents:
+    known = {c.id for c in system.contents}
+    for bunch in system.bunches:
+        if not bunch.contents:
+            violations.append(f"context {bunch.context!r} holds no contents")
+        if len(set(bunch.contents)) != len(bunch.contents):
+            violations.append(f"context {bunch.context!r} lists a content twice")
+        for q in bunch.contents:
             if q not in known:
                 violations.append(
-                    f"context {ctx.id!r} references undeclared content {q!r}"
+                    f"context {bunch.context!r} references undeclared content {q!r}"
                 )
 
-    by_context: dict[str, Bunch] = {}
-    declared_contexts = set(ctx_ids)
     for bunch in system.bunches:
-        if bunch.context in by_context:
-            violations.append(f"more than one bunch for context {bunch.context!r}")
-        by_context[bunch.context] = bunch
-        if bunch.context not in declared_contexts:
-            violations.append(
-                f"bunch references undeclared context {bunch.context!r}"
-            )
-    for ctx in system.contexts:
-        bunch = by_context.get(ctx.id)
-        if bunch is None:
-            violations.append(f"context {ctx.id!r} has no bunch")
-            continue
-        if bunch.contents != ctx.contents:
-            violations.append(
-                f"bunch for context {ctx.id!r} lists contents {list(bunch.contents)}"
-                f" but the context declares {list(ctx.contents)}"
-            )
-        expected = 1 << len(ctx.contents)
+        where = f"bunch for context {bunch.context!r}"
+        expected = 1 << len(bunch.contents)
         if len(bunch.probs) != expected:
             violations.append(
-                f"bunch for context {ctx.id!r} has {len(bunch.probs)} entries,"
-                f" expected {expected}"
+                f"{where} has {len(bunch.probs)} entries, expected {expected}"
             )
             continue
         # Entry checks come before the sum check.  NaN passes every range
@@ -267,32 +256,25 @@ def validate_system(system: System) -> list[str]:
         entry_defects = len(violations)
         for i, v in enumerate(bunch.probs):
             if not math.isfinite(v):
-                violations.append(
-                    f"bunch for context {ctx.id!r} entry {i} is not a finite number ({v!r})"
-                )
+                violations.append(f"{where} entry {i} is not a finite number ({v!r})")
             elif v < -EPS_PROB:
-                violations.append(
-                    f"bunch for context {ctx.id!r} entry {i} is negative ({v!r})"
-                )
+                violations.append(f"{where} entry {i} is negative ({v!r})")
             elif v > 1.0 + EPS_PROB:
-                violations.append(
-                    f"bunch for context {ctx.id!r} entry {i} exceeds 1 ({v!r})"
-                )
+                violations.append(f"{where} entry {i} exceeds 1 ({v!r})")
         if len(violations) > entry_defects:
             continue
         total = math.fsum(bunch.probs)
         if abs(total - 1.0) > EPS_PROB:
-            violations.append(
-                f"bunch for context {ctx.id!r} sums to {total!r}, not 1"
-            )
+            violations.append(f"{where} sums to {total!r}, not 1")
 
     return violations
 
 
 def require_valid(system: System) -> None:
-    """Raise ValidationError unless ``system`` passes validate_system."""
-    from .errors import ValidationError
+    """Raise ValidationError unless ``system`` passes validate_system.
 
+    System.__post_init__ calls it, so every built System has passed it.
+    """
     violations = validate_system(system)
     if violations:
         raise ValidationError(violations)
@@ -325,14 +307,12 @@ def product_expectation(bunch: Bunch, a: str, b: str) -> float:
 
 def connections(system: System) -> list[Connection]:
     """One Connection per declared content, members in context-declaration order."""
-    # Each context's first bunch, the one System.bunch finds.
-    bunches = {bunch.context: bunch for bunch in reversed(system.bunches)}
     out = []
     for content in system.contents:
         members = tuple(
-            (ctx.id, marginal(bunches[ctx.id], content.id))
-            for ctx in system.contexts
-            if content.id in ctx.contents
+            (b.context, marginal(b, content.id))
+            for b in system.bunches
+            if content.id in b.contents
         )
         out.append(Connection(content.id, members))
     return out

@@ -19,7 +19,6 @@ from cbdsys import (
     EPS_FEAS,
     Bunch,
     Content,
-    Context,
     CouplingConstraint,
     CouplingWitness,
     FeasibilityVerdict,
@@ -190,7 +189,7 @@ def cyclic_criterion_margin(system: System, constraint: CouplingConstraint) -> f
     def mean(probs, bit):
         return sum(p if (a >> bit) & 1 else -p for a, p in enumerate(probs))
 
-    tables = [system.bunch(ctx.id).probs for ctx in system.contexts]
+    tables = [b.probs for b in system.bunches]
     n = len(tables)
     e = [sum(p if (a & 1) == ((a >> 1) & 1) else -p for a, p in enumerate(t))
          for t in tables]
@@ -210,37 +209,30 @@ def permute_declarations(system: System, rng: np.random.Generator) -> System:
     """Same system, contents/contexts declared in a different order."""
     contents = list(system.contents)
     rng.shuffle(contents)
-    order = rng.permutation(len(system.contexts))
-    contexts = tuple(system.contexts[i] for i in order)
-    bunches = tuple(system.bunch(ctx.id) for ctx in contexts)
-    return System(tuple(contents), contexts, bunches)
+    order = rng.permutation(len(system.bunches))
+    return System(tuple(contents), tuple(system.bunches[i] for i in order))
 
 
 def flip_content(system: System, content: str) -> System:
     """Relabel +1 <-> -1 for one content in every context holding it."""
     bunches = []
-    for ctx in system.contexts:
-        bunch = system.bunch(ctx.id)
-        if content in ctx.contents:
-            mask = 1 << ctx.contents.index(content)
+    for bunch in system.bunches:
+        if content in bunch.contents:
+            mask = 1 << bunch.contents.index(content)
             probs = tuple(bunch.probs[i ^ mask] for i in range(len(bunch.probs)))
-            bunches.append(Bunch(ctx.id, ctx.contents, probs))
+            bunches.append(Bunch(bunch.context, bunch.contents, probs))
         else:
             bunches.append(bunch)
-    return System(system.contents, system.contexts, tuple(bunches))
+    return System(system.contents, tuple(bunches))
 
 
 def rename_ids(system: System, content_map: dict[str, str], context_map: dict[str, str]) -> System:
     contents = tuple(Content(content_map[c.id], c.label) for c in system.contents)
-    contexts = tuple(
-        Context(context_map[ctx.id], tuple(content_map[q] for q in ctx.contents))
-        for ctx in system.contexts
-    )
     bunches = tuple(
         Bunch(context_map[b.context], tuple(content_map[q] for q in b.contents), b.probs)
         for b in system.bunches
     )
-    return System(contents, contexts, bunches)
+    return System(contents, bunches)
 
 
 def marginalize_joint(probs, positions: list[int], m: int) -> list[float]:
@@ -397,16 +389,15 @@ def build_joint_problem(system: System, constraint: CouplingConstraint) -> Joint
     rhs: list[float] = []
     labels: list[str] = []
 
-    for ctx in system.contexts:
-        bunch = system.bunch(ctx.id)
-        bits = [(index >> var_pos[(q, ctx.id)]) & 1 for q in ctx.contents]
+    for bunch in system.bunches:
+        bits = [(index >> var_pos[(q, bunch.context)]) & 1 for q in bunch.contents]
         for a, prob in enumerate(bunch.probs):
             mask = np.ones(n, dtype=bool)
             for j, bit in enumerate(bits):
                 mask &= bit == ((a >> j) & 1)
             rows.append(mask)
             rhs.append(prob)
-            labels.append(f"bunch[{ctx.id}][{a}]")
+            labels.append(f"bunch[{bunch.context}][{a}]")
 
     for conn in connections(system):
         if len(conn.members) != 2:

@@ -1,4 +1,5 @@
-"""One untimed round of three benchmark workloads, in process.
+"""One untimed round of each benchmark workload: three in process, and
+cli-oneshot in its child processes.
 
 The benchmark under ``bench/`` checks every output it times against its own
 reference; a round here runs those same checks, so a change that would make
@@ -30,6 +31,19 @@ def workloads():
 def test_one_round_has_no_failure(workloads, name):
     workload = getattr(workloads, name)(1)
     done = workload.round(workloads.untraced, False)
+    assert len(done.times) == len(workload.ops) > 0
+    assert done.failed == 0
+    assert done.problems == []
+
+
+def test_one_cli_round_has_no_failure(workloads, tmp_path):
+    # The only workload that checks exit codes and error: lines, for input
+    # errors such as a bunch that sums past 1 and a NaN entry.
+    workload = workloads.CliOneShot(1, BENCH.parent, tmp_path)
+    try:
+        done = workload.round(workloads.untraced, False)
+    finally:
+        workload.close()
     assert len(done.times) == len(workload.ops) > 0
     assert done.failed == 0
     assert done.problems == []

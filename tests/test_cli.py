@@ -519,3 +519,15 @@ def test_text_report_labels_an_infeasible_lp_number_degree():
     lines = result.stdout.splitlines()
     assert "method cyclic4: lhs 4 rhs 2 margin -2 -> contextual" in lines
     assert "method lp (max-equality): degree 2 -> infeasible (contextual)" in lines
+
+
+@pytest.mark.parametrize("args,message", [
+    (("double-slit", "--sweep", "3", "--seed", "-1"), "--seed must be non-negative"),
+    (("double-slit", "--sweep", "3", "--witness"),
+     "--witness applies to a single run, not to --sweep"),
+], ids=["negative_seed", "sweep_witness"])
+def test_bad_sweep_options_exit_one_with_one_error_line(args, message):
+    proc = _run_entry_point(args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: {message}"]

@@ -710,9 +710,8 @@ class TestLargeSystems:
     def test_invalid_system_rejected_up_front(self):
         from cbdsys import ValidationError
 
-        system = build_system(["q"], [("c", ["q"], [0.6, 0.6])])
         with pytest.raises(ValidationError):
-            decide(system, ME)
+            decide(build_system(["q"], [("c", ["q"], [0.6, 0.6])]), ME)
 
 
 class TestPolytopeSymmetries:

@@ -105,6 +105,14 @@ class TestParse:
             parse_system_text(json.dumps(doc))
         assert "binary" in str(err.value)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_alias_is_hard_error(self, value):
+        # JSON true equals 1 in Python, but it is not an outcome value.
+        doc = json.loads(RANK2_DOC)
+        doc["values"] = {"Agree": value}
+        with pytest.raises(ParseError, match="binary"):
+            parse_system_text(json.dumps(doc))
+
     def test_unknown_label_rejected(self):
         doc = json.loads(RANK2_DOC)
         doc["contexts"][0]["probs"] = {"Yep,Nope": 1.0}

@@ -1,5 +1,7 @@
 """scenarios: the double-slit, question-order, and Bell builders."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,11 @@ class TestQuestionOrder:
             QuestionOrderParams.from_probs([0.5, 0.5, 0.0, 0.0], [0.6, 0.6, 0.0, 0.0])
         with pytest.raises(ParameterError):
             QuestionOrderParams.from_probs([0.25] * 4, [0.25] * 4, contexts=("AB", "AB"))
+
+    def test_nan_entry_rejected(self):
+        # NaN makes the sum NaN, which no sum check catches.
+        with pytest.raises(ParameterError, match="not a distribution"):
+            QuestionOrderParams.from_probs([math.nan, 0.5, 0.25, 0.25], [0.25] * 4)
 
     def test_qq_holds_with_unequal_marginals(self):
         params = QuestionOrderParams.from_probs(

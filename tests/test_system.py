@@ -1,5 +1,6 @@
 """system-core: data model, validation, and the expectation/marginal algebra."""
 
+import dataclasses
 import math
 
 import pytest
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 from cbdsys import (
     Bunch,
     ContentNotInContextError,
+    Context,
+    System,
+    ValidationError,
     build_system,
     connections,
     consistency,
@@ -24,18 +28,25 @@ def coin_system(probs):
     return build_system(["q"], [("c", ["q"], probs)])
 
 
+def violations_of(build, *args):
+    """The violations listed by the ValidationError that ``build(*args)`` raises."""
+    with pytest.raises(ValidationError) as err:
+        build(*args)
+    return err.value.violations
+
+
 class TestValidateSystem:
     def test_uniform_coin_is_valid(self):
         assert validate_system(coin_system([0.5, 0.5])) == []
 
     def test_bad_sum_reported(self):
-        violations = validate_system(coin_system([0.6, 0.6]))
+        violations = violations_of(coin_system, [0.6, 0.6])
         assert len(violations) == 1
         assert "sums to" in violations[0]
 
     def test_negative_and_excess_entries_reported_before_sum(self):
         # [-0.1, 1.1] sums to 1 exactly; both range defects are still caught.
-        violations = validate_system(coin_system([-0.1, 1.1]))
+        violations = violations_of(coin_system, [-0.1, 1.1])
         assert len(violations) == 2
         assert "negative" in violations[0]
         assert "exceeds 1" in violations[1]
@@ -46,7 +57,7 @@ class TestValidateSystem:
     def test_non_finite_entries_reported_instead_of_range_and_sum(self, probs):
         # NaN slips past every comparison and fsum(inf, -inf) raises; each
         # non-finite entry is named once and no range or sum message follows.
-        violations = validate_system(coin_system(probs))
+        violations = violations_of(coin_system, probs)
         assert violations == [
             f"bunch for context 'c' entry {i} is not a finite number ({v!r})"
             for i, v in enumerate(probs)
@@ -56,29 +67,47 @@ class TestValidateSystem:
     def test_huge_entries_reported_without_summing(self):
         # fsum overflows on 1e308 + 1e308; each out-of-range entry is named
         # and the sum is left unchecked.
-        violations = validate_system(coin_system([1e308, 1e308]))
+        violations = violations_of(coin_system, [1e308, 1e308])
         assert violations == [
             f"bunch for context 'c' entry {i} exceeds 1 (1e+308)" for i in range(2)
         ]
 
     def test_dangling_content_reference(self):
-        system = build_system(["q"], [("c", ["q", "ghost"], [0.25] * 4)])
-        assert any("undeclared content 'ghost'" in v for v in validate_system(system))
+        violations = violations_of(
+            build_system, ["q"], [("c", ["q", "ghost"], [0.25] * 4)]
+        )
+        assert any("undeclared content 'ghost'" in v for v in violations)
 
-    def test_missing_bunch_and_duplicate_ids(self):
+    def test_duplicate_ids(self):
+        # A context is its bunch, so a context declared twice is named once.
         base = coin_system([0.5, 0.5])
-        broken = type(base)(base.contents * 2, base.contexts, ())
-        violations = validate_system(broken)
-        assert any("duplicate content" in v for v in violations)
-        assert any("has no bunch" in v for v in violations)
+        violations = violations_of(System, base.contents * 2, base.bunches * 2)
+        assert violations == ["duplicate content id 'q'", "duplicate context id 'c'"]
 
     def test_wrong_probs_length(self):
-        system = build_system(["a", "b"], [("c", ["a", "b"], [0.5, 0.5])])
-        assert any("expected 4" in v for v in validate_system(system))
+        violations = violations_of(build_system, ["a", "b"], [("c", ["a", "b"], [0.5, 0.5])])
+        assert any("expected 4" in v for v in violations)
 
     def test_empty_system(self):
-        system = build_system(["q"], [])
-        assert any("no contexts" in v for v in validate_system(system))
+        violations = violations_of(build_system, ["q"], [])
+        assert any("no contexts" in v for v in violations)
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.4, 0.4, 0.4], [math.nan, 0.5, 0.25, 0.25]],
+                             ids=["sum_1.7", "nan"])
+    def test_cyclic_system_with_a_bad_bunch_is_never_built(self, probs):
+        # The closed form computes a verdict from any bunch, so only
+        # building the system can refuse these.
+        tables = [("AB", ["A", "B"], probs), ("BA", ["A", "B"], [0.25] * 4)]
+        [violation] = violations_of(build_system, ["A", "B"], tables)
+        assert violation.startswith("bunch for context 'AB'")
+
+    def test_contexts_are_views_of_the_bunches(self):
+        system = build_system(
+            ["a", "b"], [("c2", ["b", "a"], [0.25] * 4), ("c1", ["a"], [0.5, 0.5])]
+        )
+        assert [field.name for field in dataclasses.fields(system)] == ["contents", "bunches"]
+        assert system.contexts == (Context("c2", ("b", "a")), Context("c1", ("a",)))
+        assert system.bunch("c1") is system.bunches[1]
 
 
 class TestLoadCleaning:
