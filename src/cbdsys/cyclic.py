@@ -134,17 +134,16 @@ def detect_cyclic(system: System) -> CyclicLayout | None:
 def _cycle_sides(system: System, layout: CyclicLayout) -> tuple[list[float], dict[str, float]]:
     """Per-context product expectations (cycle order) and per-content gaps."""
     n = layout.rank
+    bunch = {b.context: b for b in system.bunches}
     products = []
     for i in range(n):
         q_i = layout.order[i][0]
         q_next = layout.order[(i + 1) % n][0]
         ctx = layout.order[i][1][1]
-        products.append(product_expectation(system.bunch(ctx), q_i, q_next))
+        products.append(product_expectation(bunch[ctx], q_i, q_next))
     deltas = {}
     for q, (prev, cur) in layout.order:
-        deltas[q] = abs(
-            expectation(system.bunch(prev), q) - expectation(system.bunch(cur), q)
-        )
+        deltas[q] = abs(expectation(bunch[prev], q) - expectation(bunch[cur], q))
     return products, deltas
 
 

@@ -18,7 +18,7 @@ from .system import (
     CouplingConstraint,
     System,
     connections,
-    consistency,
+    consistency_of,
 )
 
 if TYPE_CHECKING:
@@ -30,7 +30,8 @@ CONTEXTUAL = "contextual"
 
 def system_summary(system: System) -> dict:
     layout = detect_cyclic(system)
-    report = consistency(system)
+    conns = connections(system)
+    report = consistency_of(conns)
     return {
         "contents": [c.id for c in system.contents],
         "contexts": [b.context for b in system.bunches],
@@ -44,7 +45,7 @@ def system_summary(system: System) -> dict:
                     {"context": ctx, "p_plus": value} for ctx, value in conn.members
                 ],
             }
-            for conn in connections(system)
+            for conn in conns
         ],
     }
 

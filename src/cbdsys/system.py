@@ -306,22 +306,30 @@ def product_expectation(bunch: Bunch, a: str, b: str) -> float:
 
 
 def connections(system: System) -> list[Connection]:
-    """One Connection per declared content, members in context-declaration order."""
-    out = []
-    for content in system.contents:
-        members = tuple(
-            (b.context, marginal(b, content.id))
-            for b in system.bunches
-            if content.id in b.contents
-        )
-        out.append(Connection(content.id, members))
-    return out
+    """One Connection per declared content, members in context-declaration order.
+
+    One pass over the bunches lists each content's holders, so the work is
+    linear in the number of variables.
+    """
+    holders: dict[str, list[Bunch]] = {c.id: [] for c in system.contents}
+    for b in system.bunches:
+        for q in b.contents:
+            holders[q].append(b)
+    return [
+        Connection(q, tuple((b.context, marginal(b, q)) for b in bunches))
+        for q, bunches in holders.items()
+    ]
 
 
 def consistency(system: System) -> ConsistencyReport:
     """Largest within-connection marginal gap, and whether it is negligible."""
+    return consistency_of(connections(system))
+
+
+def consistency_of(conns: Iterable[Connection]) -> ConsistencyReport:
+    """:func:`consistency` of a system whose connections are ``conns``."""
     gap = 0.0
-    for conn in connections(system):
+    for conn in conns:
         if len(conn.members) < 2:
             continue
         values = [m for _, m in conn.members]

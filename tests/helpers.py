@@ -11,6 +11,7 @@ hand-rolled simplex, where the library solves a clique-tree LP with HiGHS.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from cbdsys import (
     coupling_variables,
 )
 from cbdsys import coupling
+from cbdsys.system import Connection, expectation, marginal, product_expectation
 
 #: brute_force_decide builds dense 2**m tableaus; keep them small.
 BRUTE_M_MAX = 12
@@ -304,15 +306,56 @@ def clique_tree_by_rescanning(cliques: list[tuple[int, ...]]) -> list[tuple[int,
     return edges
 
 
-def solve_cnt1_fresh(problem):
-    """The library's CNT1 solve on a new HiGHS instance made for this one
-    call, with the options passed again: the reference for the library's
-    one instance per thread, whose results must not depend on what it
-    solved before."""
+def connections_by_scan(system: System) -> list[Connection]:
+    """Every content's connection, found by scanning every bunch for every
+    content: quadratic, the reference for the library's one-pass index."""
+    return [
+        Connection(content.id, tuple(
+            (b.context, marginal(b, content.id))
+            for b in system.bunches
+            if content.id in b.contents
+        ))
+        for content in system.contents
+    ]
+
+
+def cycle_sides_by_scan(system: System, layout) -> tuple[list[float], dict[str, float]]:
+    """cyclic._cycle_sides with a linear System.bunch lookup per use, the
+    reference for its one index of the bunches."""
+    n = layout.rank
+    products = [
+        product_expectation(
+            system.bunch(layout.order[i][1][1]),
+            layout.order[i][0],
+            layout.order[(i + 1) % n][0],
+        )
+        for i in range(n)
+    ]
+    deltas = {
+        q: abs(expectation(system.bunch(prev), q) - expectation(system.bunch(cur), q))
+        for q, (prev, cur) in layout.order
+    }
+    return products, deltas
+
+
+def _fresh_highs():
+    """A new HiGHS instance with the CNT1 options passed again."""
     highspy = coupling._highspy()
-    shape = problem.shape
-    rhs, pairs = problem.rhs.tolist(), shape.pair_rows
-    b = rhs[:pairs.start] + rhs[pairs.stop:]
+    options = highspy.HighsOptions()
+    options.presolve = "off"
+    options.simplex_strategy = highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = highspy.kHighsDebugLevelNone
+    options.output_flag = options.log_to_console = False
+    options.primal_feasibility_tolerance = coupling.TIGHT_TOL
+    options.dual_feasibility_tolerance = coupling.TIGHT_TOL
+    highs = highspy._Highs()
+    highs.passOptions(options)
+    return highs
+
+
+def _cnt1_model(shape, b):
+    """The shape's CNT1 LP with every row fixed to b."""
+    highspy = coupling._highspy()
     n = len(shape.lp_cost)
     lp = highspy.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n
@@ -325,22 +368,40 @@ def solve_cnt1_fresh(problem):
     lp.col_lower_ = shape.lp_lower
     lp.col_upper_ = shape.lp_upper
     lp.row_lower_ = lp.row_upper_ = b
+    return lp
 
-    options = highspy.HighsOptions()
-    options.presolve = "off"
-    options.simplex_strategy = highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.highs_debug_level = highspy.kHighsDebugLevelNone
-    options.output_flag = options.log_to_console = False
-    options.primal_feasibility_tolerance = coupling.TIGHT_TOL
-    options.dual_feasibility_tolerance = coupling.TIGHT_TOL
-    highs = highspy._Highs()
-    highs.passOptions(options)
-    highs.passModel(lp)
+
+def _run_to_optimum(highs) -> str:
+    highspy = coupling._highspy()
     highs.run()
     status = highs.getModelStatus()
     name = highs.modelStatusToString(status)
     if status != highspy.HighsModelStatus.kOptimal:
         raise SolverError(f"LP solver failed: HiGHS model status {name!r}")
+    return name
+
+
+def uniform_cnt1_rhs(problem) -> list[float]:
+    """The CNT1 right-hand side of the problem's shape with every bunch
+    uniform, read off its row labels: 1/(entries of its bunch) on each
+    ``bunch[<context>][<a>]`` row, 1 on the mass row and 0 on every
+    separator row, the pair rows left out."""
+    labels = problem.row_labels
+    bunch_rows = labels[:problem.shape.pair_rows.start]
+    sizes = Counter(label.rsplit("[", 1)[0] for label in bunch_rows)
+    rest = labels[problem.shape.pair_rows.stop:]
+    return [1.0 / sizes[label.rsplit("[", 1)[0]] for label in bunch_rows] + [
+        1.0 if label == "mass" else 0.0 for label in rest
+    ]
+
+
+def _cnt1_solve(problem, highs, basis=None):
+    shape = problem.shape
+    rhs, pairs = problem.rhs.tolist(), shape.pair_rows
+    highs.passModel(_cnt1_model(shape, rhs[:pairs.start] + rhs[pairs.stop:]))
+    if basis is not None:
+        highs.setBasis(basis)
+    name = _run_to_optimum(highs)
     info = highs.getInfo()
     deficit = sum(rhs[pairs]) + info.objective_function_value
     return coupling._Solve(
@@ -349,6 +410,25 @@ def solve_cnt1_fresh(problem):
         name,
         info.simplex_iteration_count,
     )
+
+
+def solve_cnt1_fresh(problem):
+    """The library's CNT1 solve on a new HiGHS instance made for this one
+    call, with the options passed again and the start basis found again on
+    it, from the uniform right-hand side (:func:`uniform_cnt1_rhs`): the
+    reference for the library's one instance per thread and its cached
+    start basis, whose results must not depend on what was solved before."""
+    highs = _fresh_highs()
+    highs.passModel(_cnt1_model(problem.shape, uniform_cnt1_rhs(problem)))
+    _run_to_optimum(highs)
+    return _cnt1_solve(problem, highs, highs.getBasis())
+
+
+def solve_cnt1_cold(problem):
+    """The CNT1 solve from the slack basis on a new HiGHS instance, as the
+    library solved before it started from a start basis: the oracle for
+    that start basis's degrees, verdicts and witnesses."""
+    return _cnt1_solve(problem, _fresh_highs())
 
 
 def max_deterministic_cyclic_lhs(n: int = 4) -> float:

@@ -27,12 +27,13 @@ from cbdsys import (
 )
 
 
-def write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+def build_inputs() -> dict[Path, bytes]:
+    """Every input file's path and bytes."""
+    files: dict[Path, bytes] = {}
 
+    def write(path: Path, text: str) -> None:
+        files[path] = text.encode("utf-8")
 
-def build_inputs() -> None:
     write(INPUT_DIR / "bell_aligned.json",
           serialize_system(build_bell((1, 1, 1, 1), [0.0] * 8)))
     write(INPUT_DIR / "bell_pr_box.json",
@@ -118,9 +119,9 @@ def build_inputs() -> None:
 """)
     # A valid system saved as UTF-16 with a byte-order mark (bytes ff fe),
     # which is not UTF-8 text.
-    (INPUT_DIR / "non_utf8.json").write_bytes(
-        ("\ufeff" + (INPUT_DIR / "qq_identical.json").read_text(encoding="utf-8"))
-        .encode("utf-16-le"))
+    files[INPUT_DIR / "non_utf8.json"] = (
+        "\ufeff" + files[INPUT_DIR / "qq_identical.json"].decode("utf-8")
+    ).encode("utf-16-le")
     write(INPUT_DIR / "nonbinary_values.json", """\
 {
   "contents": [{"id": "q"}],
@@ -128,6 +129,7 @@ def build_inputs() -> None:
   "values": {"Maybe": 0}
 }
 """)
+    return files
 
 
 def build_expected() -> None:
@@ -140,11 +142,13 @@ def build_expected() -> None:
                 f"{case.name}: expected exit {case.exit_code}, got {exit_code}\n"
                 f"stderr: {stderr}"
             )
-        write(EXPECTED_DIR / case.golden, stdout)
+        (EXPECTED_DIR / case.golden).write_text(stdout, encoding="utf-8")
         print(f"wrote expected/{case.golden} ({len(stdout)} bytes)")
 
 
 if __name__ == "__main__":
-    build_inputs()
+    for path, data in build_inputs().items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
     print(f"inputs written to {INPUT_DIR}")
     build_expected()

@@ -60,6 +60,15 @@ def test_golden_reports_parse_and_round_trip(case):
     assert dumps_canonical(doc) + "\n" == text  # machine format round-trips
 
 
+def test_golden_inputs_regenerate_byte_identically():
+    import regen_golden
+
+    files = regen_golden.build_inputs()
+    assert sorted(files) == sorted(INPUT_DIR.iterdir())
+    for path, data in files.items():
+        assert path.read_bytes() == data, path.name
+
+
 def test_text_and_json_carry_identical_numbers():
     case = next(c for c in CASES if c.name == "double_slit_worked_file")
     _, json_out, _ = run_case(case)
@@ -69,6 +78,28 @@ def test_text_and_json_carry_identical_numbers():
     entry = doc["results"][0]
     for value in (entry["lhs"], entry["rhs"], entry["margin"]):
         assert format_float(value) in text_out
+
+
+def test_system_summary_builds_the_connections_once(monkeypatch):
+    import cbdsys.report
+    import cbdsys.system
+    from cbdsys import DoubleSlitParams, build_double_slit, consistency, connections
+
+    system = build_double_slit(DoubleSlitParams(0.1, 0.1, 0.08, 0.08, 0.05))
+    calls = []
+
+    def counted(system):
+        calls.append(system)
+        return connections(system)
+
+    # consistency() looks its connections up in cbdsys.system.
+    monkeypatch.setattr(cbdsys.system, "connections", counted)
+    monkeypatch.setattr(cbdsys.report, "connections", counted)
+    summary = cbdsys.report.system_summary(system)
+    assert calls == [system]
+    report = consistency(system)
+    assert summary["max_marginal_gap"] == report.max_marginal_gap
+    assert summary["consistently_connected"] is report.consistently_connected
 
 
 def test_stdin_input():
@@ -496,7 +527,7 @@ def test_cbd_log_debug_prints_the_decide_record():
     assert quiet.stderr == ""
     assert loud.stderr.splitlines() == [
         "DEBUG:cbdsys.coupling:decide: m=8, 6 cliques, CNT1 LP 37 x 48,"
-        " Optimal after 36 simplex iterations, degree 2 -> infeasible"
+        " Optimal after 6 simplex iterations, degree 2 -> infeasible"
     ]
 
 

@@ -50,6 +50,7 @@ from helpers import (
     random_rank2,
     random_rank4_general,
     random_small_system,
+    solve_cnt1_cold,
     solve_cnt1_fresh,
 )
 
@@ -486,13 +487,18 @@ def _verdict_bits(verdict) -> tuple:
 
 
 class TestSolverInstance:
-    """Each thread solves on one HiGHS instance (coupling._solver).  What it
-    solved before must not show: every solve equals one on a new instance
-    (helpers.solve_cnt1_fresh), bit for bit."""
+    """Each thread solves on one HiGHS instance (coupling._solver), starting
+    from its shape's start basis.  What it solved before must not show:
+    every solve equals one on a new instance that finds the start basis
+    again (helpers.solve_cnt1_fresh), bit for bit."""
 
     @pytest.fixture(scope="class")
-    def problems(self):
-        return [build_feasibility_problem(*case) for case in _solver_cases()]
+    def cases(self):
+        return _solver_cases()
+
+    @pytest.fixture(scope="class")
+    def problems(self, cases):
+        return [build_feasibility_problem(*case) for case in cases]
 
     def test_one_instance_per_thread(self):
         assert coupling._solver() is coupling._solver()
@@ -520,6 +526,67 @@ class TestSolverInstance:
                 solve(broken)
         for later in problems[:50]:
             assert _solve_bits(coupling._solve_cnt1(later)) == _solve_bits(solve_cnt1_fresh(later))
+
+    def test_start_basis_matches_a_cold_solve(self, cases, problems):
+        # Started from the shape's start basis, the solve ends where the
+        # solve from the slack basis (helpers.solve_cnt1_cold) ends: the
+        # same status, verdict and boundary flag, the degree to 1e-12, and
+        # every feasible witness passes the enumerating check.
+        for i, ((system, constraint), problem) in enumerate(zip(cases, problems)):
+            cold = solve_cnt1_cold(problem)
+            assert coupling._solve_cnt1(problem).status == cold.status, i
+            verdict = decide(system, constraint)
+            assert abs(verdict.degree - cold.degree) <= 1e-12, i
+            assert verdict.feasible == (cold.degree <= EPS_FEAS), i
+            assert verdict.boundary == (
+                verdict.feasible and cold.degree > coupling.TIGHT_TOL
+            ), i
+            if verdict.feasible:
+                assert witness_violation(system, constraint, verdict.witness) <= EPS_FEAS, i
+
+    def test_start_basis_depends_only_on_the_shape(self, rng):
+        # Two systems of one shape share a start basis, and building the
+        # shape again after the cache is cleared finds the same one.
+        def basis_of(system):
+            basis = build_feasibility_problem(system, ME).shape.start_basis
+            return [s.name for s in basis.col_status], [s.name for s in basis.row_status]
+
+        first, second = (random_cycle(rng, 4, consistent=False) for _ in range(2))
+        assert first.bunches != second.bunches
+        shape = build_feasibility_problem(first, ME).shape
+        assert build_feasibility_problem(second, ME).shape is shape
+        want = basis_of(first)
+        assert basis_of(second) == want
+        _shape.cache_clear()
+        assert build_feasibility_problem(first, ME).shape is not shape
+        assert basis_of(second) == want
+
+    def test_failed_start_basis_solve_names_the_status(self, monkeypatch, rng):
+        highspy = coupling._highspy()
+        real = coupling._solver
+
+        class Stalled:
+            def __init__(self):
+                self._highs = real()
+
+            def __getattr__(self, name):
+                return getattr(self._highs, name)
+
+            def getModelStatus(self):
+                return highspy.HighsModelStatus.kIterationLimit
+
+        _shape.cache_clear()  # a new shape, whose start basis is not made yet
+        problem = build_feasibility_problem(random_cycle(rng, 5, consistent=True), EA)
+        monkeypatch.setattr(coupling, "_solver", Stalled)
+        with pytest.raises(
+            SolverError,
+            match=r"^LP solver failed: HiGHS model status 'Iteration limit reached'$",
+        ):
+            problem.shape.start_basis
+        monkeypatch.undo()
+        assert _solve_bits(coupling._solve_cnt1(problem)) == _solve_bits(
+            solve_cnt1_fresh(problem)
+        )
 
     def test_threads_match_a_serial_run(self):
         # Four threads decide the same 258 cases, each in its own order.

@@ -24,9 +24,12 @@ from cbdsys import (
     product_expectation,
     qq_statistic,
 )
+from cbdsys.cyclic import _cycle_sides
 from helpers import (
     cycle_from_moments,
+    cycle_sides_by_scan,
     permute_declarations,
+    random_cycle,
     random_rank2,
     random_rank2_matched_products,
     random_rank4_consistent,
@@ -135,6 +138,21 @@ class TestCyclicCriterion:
                 result = cyclic_criterion(system, layout, ME)
                 assert result.lhs == pytest.approx(s_odd, abs=1e-12)
                 assert result.rhs == pytest.approx(n - 2, abs=1e-12)
+
+    def test_sides_match_the_linear_bunch_lookups(self, rng):
+        # Indexing the bunches once reads the same tables as System.bunch,
+        # so products and gaps are bit-identical, up to rank 800.
+        for n in (2, 3, 4, 9, 800):
+            for consistent in (False, True):
+                system = random_cycle(rng, n, consistent)
+                layout = detect_cyclic(system)
+                products, deltas = _cycle_sides(system, layout)
+                want_products, want_deltas = cycle_sides_by_scan(system, layout)
+                assert [e.hex() for e in products] == [e.hex() for e in want_products]
+                assert list(deltas) == list(want_deltas)
+                assert [d.hex() for d in deltas.values()] == [
+                    d.hex() for d in want_deltas.values()
+                ]
 
     def test_equal_always_rhs_is_exactly_n_minus_2(self):
         # Consistent up to float dust: the max-equality bound picks the dust

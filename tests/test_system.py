@@ -21,11 +21,20 @@ from cbdsys import (
     product_expectation,
     validate_system,
 )
-from helpers import marginalize_joint
+from helpers import (
+    connections_by_scan,
+    marginalize_joint,
+    random_cycle,
+    random_small_system,
+)
 
 
 def coin_system(probs):
     return build_system(["q"], [("c", ["q"], probs)])
+
+
+def connection_bits(conns):
+    return [(c.content, [(ctx, p.hex()) for ctx, p in c.members]) for c in conns]
 
 
 def violations_of(build, *args):
@@ -243,6 +252,16 @@ class TestConnections:
             [("c2", ["a", "b"], [0.25] * 4), ("c1", ["a", "b"], [0.25] * 4)],
         )
         assert [ctx for ctx, _ in connections(system)[0].members] == ["c2", "c1"]
+
+    def test_matches_the_scan_of_every_bunch(self, rng):
+        # The one-pass index lists the same members, in the same order, with
+        # bit-identical marginals, as scanning every bunch per content.
+        systems = [random_small_system(rng, 12) for _ in range(300)]
+        systems += [random_cycle(rng, n, consistent=False) for n in (2, 3, 7, 800)]
+        for system in systems:
+            assert connection_bits(connections(system)) == connection_bits(
+                connections_by_scan(system)
+            )
 
 
 class TestConsistency:
