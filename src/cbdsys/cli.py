@@ -60,6 +60,7 @@ from .report import (
     render_json,
     render_text,
     system_summary,
+    system_summary_of,
     witness_entry,
 )
 from .scenarios import (
@@ -68,7 +69,7 @@ from .scenarios import (
     check_double_slit,
     sample_double_slit_params,
 )
-from .system import EPS_PROB, CouplingConstraint, System, consistency
+from .system import EPS_PROB, CouplingConstraint, System, connections, consistency_of
 
 if TYPE_CHECKING:
     from .coupling import FeasibilityVerdict
@@ -162,12 +163,13 @@ def analyze(input_stream, constraint: str, method: str, output: str, witness: bo
     want = _CONSTRAINTS[constraint]
     system = parse_system(input_stream)
     layout = detect_cyclic(system)
+    conns = connections(system)
     run_closed = method in ("closed-form", "both")
     run_lp = method in ("lp", "both")
     if method == "auto":
         if layout is not None and (
             want is CouplingConstraint.MAX_EQUALITY
-            or consistency(system).consistently_connected
+            or consistency_of(conns).consistently_connected
         ):
             run_closed = True
         else:
@@ -185,7 +187,7 @@ def analyze(input_stream, constraint: str, method: str, output: str, witness: bo
             name = "chsh_fine"
         else:
             name = f"cyclic{layout.rank}"
-        results.append(criterion_entry(name, cyclic_criterion(system, layout, want)))
+        results.append(criterion_entry(name, cyclic_criterion(system, layout, want, conns)))
     if run_lp:
         lp_verdict = decide(system, want)
         results.append(lp_entry(want, lp_verdict))
@@ -194,7 +196,7 @@ def analyze(input_stream, constraint: str, method: str, output: str, witness: bo
         "command": "analyze",
         "constraint": want.value,
         "method": method,
-        "system": system_summary(system),
+        "system": system_summary_of(system, layout, conns),
         "results": results,
     }
     if len(results) > 1:
@@ -302,7 +304,7 @@ def qq(input_stream, output: str):
     statistic = qq_statistic(system, layout)
     report = {
         "command": "qq",
-        "system": system_summary(system),
+        "system": system_summary_of(system, layout, connections(system)),
         "qq_statistic": statistic,
         "qq_equality_holds": abs(statistic) <= EPS_PROB,
         "results": [criterion_entry("cyclic2", cbd_cyclic2(system, layout))],

@@ -67,6 +67,19 @@ instead of 129 us (2-core VM).  A decide whose shape is not cached pays the
 start-basis solve as well, so a run of one-off shapes is about a fifth
 slower than from the slack basis.
 
+A :func:`decide` on a cached shape pays only for what depends on the
+system: one pass over the bunches for the positions and pair targets
+(marginals only for two-member connections), the right-hand side, the
+row bounds of the shape's HighsLp, which each thread keeps, then
+``passModel``, ``setBasis``, ``run`` and the witness.  It formats no row
+name: :attr:`FeasibilityProblem.row_labels` is built when first read.  The
+witness glue runs in plain floats along a per-shape plan, in the order
+numpy would add, so its tables are the same to the bit.  On 400 rank-2 and
+rank-4 systems a decide takes about 105 us, of which the HiGHS run is 58
+(2-core VM).  Hand HiGHS the model as a HighsLp only: passModel's overloads
+that take numpy arrays returned "Optimal" after 0 iterations with a primal
+residual of 0.6 on a 16-variable cycle of the benchmark's ``large-m``.
+
 Nothing loads this module, or numpy, until a program first needs the LP:
 ``import cbdsys`` serves this module's names on first access, and the CLI
 imports it on its first :func:`decide`.  CouplingConstraint and
@@ -92,6 +105,7 @@ import math
 import os
 import sys
 import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -99,7 +113,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConnectionSizeError, SolverError, SystemSizeError
-from .system import EPS_FEAS, System, connections
+from .system import EPS_FEAS, Bunch, System, marginal
 
 # The data model defines these, so the closed forms need not load this
 # module; they stay importable from here.
@@ -124,35 +138,40 @@ SHAPE_CACHE_SIZE = 32
 class _Shape:
     """The part of the clique-tree LP that depends only on where each bunch
     and connection pair sits: everything of a FeasibilityProblem except its
-    right-hand side and names, plus the CNT1 LP handed to HiGHS.
+    right-hand side and variable names, plus the CNT1 LP handed to HiGHS.
 
-    ``entries`` holds the problem matrix's nonzeros as (rows, columns,
-    values); ``pair_rows`` are its connection-pair rows.  The CNT1 LP keeps
-    every other row as a hard equality, in the same order, and minimizes
-    ``lp_cost``, which is minus the sum of the pair rows, over columns
-    bounded by ``lp_lower`` and ``lp_upper``.  Its constraint matrix is
-    stored column-wise as (lp_start, lp_index, lp_value), in tuples because
-    HiGHS's bindings read those fastest; only the row bounds vary per call.
-    ``uniform_rhs`` is its right-hand side when every bunch is uniform (1/2**k
-    per entry of a k-content bunch), mass 1 and separators 0, and
-    ``start_basis``, an optimal basis at that right-hand side, starts every
-    solve of this shape.
+    ``bunch_positions`` and ``pair_positions`` are the variable positions it
+    was built for.  ``entries`` holds the problem matrix's nonzeros as (rows,
+    columns, values); ``pair_rows`` are its connection-pair rows.  The CNT1
+    LP keeps every other row as a hard equality, in the same order, and
+    minimizes ``lp_cost``, which is minus the sum of the pair rows, over
+    columns bounded by ``lp_lower`` and ``lp_upper``.  Its constraint matrix
+    is stored column-wise as (lp_start, lp_index, lp_value), in tuples
+    because HiGHS's bindings read those fastest; only the row bounds vary
+    per call, and each thread converts the rest once per shape
+    (:func:`_cnt1_lp`).  ``uniform_rhs`` is its right-hand side when every
+    bunch is uniform (1/2**k per entry of a k-content bunch), mass 1 and
+    separators 0, and ``start_basis``, an optimal basis at that right-hand
+    side, starts every solve of this shape.
 
-    The witness is glued and checked with ``splits``, the columns where each
-    clique table after the first starts; ``separator_entries``, per tree
-    edge the separator entry that each entry of the parent's and of the
-    child's table falls in; and ``elastic_entries``, the rows and columns of
-    the elastic rows' nonzeros, which are all 1.
+    The witness is glued in plain floats with ``offsets``, where each clique
+    table starts in the columns (and where the last ends), and ``glue``, per
+    tree edge the offset of the parent's table, the separator entry that
+    each of its entries falls in, the same for the child's table, and the
+    separator's entry count.  It is checked with ``elastic_entries``, the
+    rows and columns of the elastic rows' nonzeros, which are all 1.
     """
 
+    bunch_positions: tuple[tuple[int, ...], ...]
+    pair_positions: tuple[tuple[int, int], ...]
     cliques: tuple[tuple[int, ...], ...]
     tree: tuple[tuple[int, int], ...]
     elastic_rows: int
     pair_rows: slice
     separator_labels: tuple[str, ...]
     entries: tuple[np.ndarray, np.ndarray, np.ndarray]
-    splits: np.ndarray
-    separator_entries: tuple[tuple[np.ndarray, np.ndarray], ...]
+    offsets: tuple[int, ...]
+    glue: tuple[tuple[int, tuple[int, ...], int, tuple[int, ...], int], ...]
     elastic_entries: tuple[np.ndarray, np.ndarray]
     lp_start: tuple[int, ...]
     lp_index: tuple[int, ...]
@@ -209,14 +228,31 @@ class FeasibilityProblem:
 
     ``cliques``, ``tree``, ``matrix`` and ``elastic_rows`` belong to the
     system's shape and are shared by every system of that shape (``matrix``
-    is built on first use and is read-only); ``variables``, ``rhs`` and
-    ``row_labels`` are this system's own.
+    is built on first use and is read-only); ``variables`` and ``rhs`` are
+    this system's own.  ``row_labels`` names every row from the variable
+    names, and is formatted only when first read.
     """
 
     variables: tuple[tuple[str, str], ...]
     shape: _Shape
     rhs: np.ndarray
-    row_labels: tuple[str, ...]
+
+    @cached_property
+    def row_labels(self) -> tuple[str, ...]:
+        """``bunch[<context>][<entry>]``, ``equal[<content>:<context>=<context>]``,
+        ``mass`` and ``separator[<parent>-<child>][<entry>]``, row by row."""
+        names = self.variables
+        labels = [
+            f"bunch[{names[positions[0]][1]}][{a}]"
+            for positions in self.shape.bunch_positions
+            for a in range(1 << len(positions))
+        ]
+        labels += [
+            f"equal[{names[u][0]}:{names[u][1]}={names[v][1]}]"
+            for u, v in self.shape.pair_positions
+        ]
+        labels.append("mass")
+        return tuple(labels) + self.shape.separator_labels
 
     @property
     def num_variables(self) -> int:
@@ -308,12 +344,12 @@ class FeasibilityVerdict:
 @dataclass(frozen=True)
 class _Marginals:
     """What a coupling must reproduce, by variable position: each context's
-    bunch as (context id, positions, probs) and each two-member connection
-    as (row label, u, v, target Pr[equal])."""
+    bunch as (positions, probs) and each two-member connection as
+    (u, v, target Pr[equal])."""
 
     variables: tuple[tuple[str, str], ...]
-    bunches: tuple[tuple[str, tuple[int, ...], tuple[float, ...]], ...]
-    pairs: tuple[tuple[str, int, int, float], ...]
+    bunches: tuple[tuple[tuple[int, ...], tuple[float, ...]], ...]
+    pairs: tuple[tuple[int, int, float], ...]
 
 
 def coupling_variables(system: System) -> tuple[tuple[str, str], ...]:
@@ -324,38 +360,39 @@ def coupling_variables(system: System) -> tuple[tuple[str, str], ...]:
 
 def _marginals(system: System, constraint: CouplingConstraint) -> _Marginals:
     """Requires connections of at most two members each and at most M_MAX
-    variables in all (a System is valid by construction)."""
-    conns = connections(system)
-    for conn in conns:
-        if len(conn.members) > 2:
+    variables in all (a System is valid by construction).
+
+    One pass over the bunches lists each content's holders with the
+    variable positions, and only the members of two-member connections have
+    their marginals taken.
+    """
+    holders: dict[str, list[tuple[Bunch, int]]] = {c.id: [] for c in system.contents}
+    variables = []
+    bunches = []
+    for b in system.bunches:
+        start = len(variables)
+        for q in b.contents:
+            holders[q].append((b, len(variables)))
+            variables.append((q, b.context))
+        bunches.append((tuple(range(start, len(variables))), b.probs))
+    for q, held in holders.items():
+        if len(held) > 2:
             raise ConnectionSizeError(
-                f"content {conn.content!r} appears in {len(conn.members)} contexts;"
+                f"content {q!r} appears in {len(held)} contexts;"
                 " pairwise coupling constraints support at most 2"
             )
-    variables = coupling_variables(system)
     m = len(variables)
     if m > M_MAX:
         raise SystemSizeError(
             f"coupling over {m} variables needs a 2^{m}-entry witness;"
             f" limit is 2^{M_MAX}"
         )
-    pos = {var: j for j, var in enumerate(variables)}
-    bunches = tuple(
-        (b.context, tuple(pos[(q, b.context)] for q in b.contents), b.probs)
-        for b in system.bunches
-    )
     pairs = []
-    for conn in conns:
-        if len(conn.members) != 2:
-            continue
-        (ctx_a, marg_a), (ctx_b, marg_b) = conn.members
-        pairs.append((
-            f"equal[{conn.content}:{ctx_a}={ctx_b}]",
-            pos[(conn.content, ctx_a)],
-            pos[(conn.content, ctx_b)],
-            constraint.target(marg_a, marg_b),
-        ))
-    return _Marginals(variables, bunches, tuple(pairs))
+    for q, held in holders.items():
+        if len(held) == 2:
+            (a, u), (b, v) = held
+            pairs.append((u, v, constraint.target(marginal(a, q), marginal(b, q))))
+    return _Marginals(tuple(variables), tuple(bunches), tuple(pairs))
 
 
 def _gather_bits(index: np.ndarray, bits) -> np.ndarray:
@@ -473,13 +510,15 @@ def _shape(
     elastic_rows = row = row + 1
 
     separator_labels: list[str] = []
-    separator_entries = []
+    glue = []
     for parent, child in tree:
         sep = _separator(cliques, (parent, child))
+        edge = []
         for i, sign in ((parent, 1.0), (child, -1.0)):
             entry, col = marginal(i, sep)
             triples.append((row + entry, col, sign))
-            separator_entries.append(entry)
+            edge += (int(offsets[i]), tuple(entry.tolist()))
+        glue.append((*edge, 1 << len(sep)))
         row += 1 << len(sep)
         separator_labels.extend(
             f"separator[{parent}-{child}][{s}]" for s in range(1 << len(sep))
@@ -499,14 +538,16 @@ def _shape(
     lp_cols = cols[keep][order]
     elastic = rows < elastic_rows
     return _Shape(
+        bunch_positions=bunch_positions,
+        pair_positions=pair_positions,
         cliques=tuple(cliques),
         tree=tuple(tree),
         elastic_rows=elastic_rows,
         pair_rows=pair_rows,
         separator_labels=tuple(separator_labels),
         entries=(rows, cols, values),
-        splits=offsets[1:-1],
-        separator_entries=tuple(zip(separator_entries[::2], separator_entries[1::2])),
+        offsets=tuple(offsets.tolist()),
+        glue=tuple(glue),
         elastic_entries=(rows[elastic], cols[elastic]),
         lp_start=tuple(np.searchsorted(lp_cols, np.arange(n + 1)).tolist()),
         lp_index=tuple(lp_rows[order].tolist()),
@@ -524,29 +565,17 @@ def _shape(
 
 def _clique_problem(marg: _Marginals) -> FeasibilityProblem:
     """The clique-tree LP for the given marginal constraints: the cached
-    shape with this system's right-hand side and row names."""
+    shape with this system's right-hand side."""
     shape = _shape(
         len(marg.variables),
-        tuple(positions for _, positions, _ in marg.bunches),
-        tuple((u, v) for _, u, v, _ in marg.pairs),
+        tuple(positions for positions, _ in marg.bunches),
+        tuple((u, v) for u, v, _ in marg.pairs),
     )
-    rhs: list[float] = []
-    labels: list[str] = []
-    for ctx_id, _, probs in marg.bunches:
-        rhs.extend(probs)
-        labels.extend(f"bunch[{ctx_id}][{a}]" for a in range(len(probs)))
-    for label, _, _, target in marg.pairs:
-        rhs.append(target)
-        labels.append(label)
+    rhs = [p for _, probs in marg.bunches for p in probs]
+    rhs += [target for _, _, target in marg.pairs]
     rhs.append(1.0)
-    labels.append("mass")
-    rhs.extend([0.0] * len(shape.separator_labels))
-    return FeasibilityProblem(
-        variables=marg.variables,
-        shape=shape,
-        rhs=np.array(rhs, dtype=np.float64),
-        row_labels=tuple(labels) + shape.separator_labels,
-    )
+    rhs += [0.0] * len(shape.separator_labels)
+    return FeasibilityProblem(marg.variables, shape, np.array(rhs, dtype=np.float64))
 
 
 def build_feasibility_problem(
@@ -627,7 +656,8 @@ def _solver():
     feasibility tolerances.
 
     Threads never share an instance, so systems are decided concurrently
-    without locks.  Each solve hands the instance a new model and then its
+    without locks.  Each solve hands the instance a new model (a copy of
+    this thread's HighsLp of the shape, :func:`_cnt1_lp`) and then its
     shape's start basis (:attr:`_Shape.start_basis`), so it starts from
     that basis, never from an earlier system's.
     """
@@ -648,19 +678,34 @@ def _solver():
 
 
 def _cnt1_lp(shape: _Shape, b):
-    """The shape's CNT1 LP as a HighsLp, with every row fixed to b."""
-    highspy = _highspy()
-    n = len(shape.lp_cost)
-    lp = highspy.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(b)
-    lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = shape.lp_start
-    lp.a_matrix_.index_ = shape.lp_index
-    lp.a_matrix_.value_ = shape.lp_value
-    lp.col_cost_ = shape.lp_cost
-    lp.col_lower_ = shape.lp_lower
-    lp.col_upper_ = shape.lp_upper
+    """This thread's HighsLp of the shape's CNT1 LP, with every row fixed
+    to b.
+
+    A thread converts a shape's matrix, costs and column bounds into a
+    HighsLp once, on its first solve of that shape, and keeps it while the
+    shape lives: the store is keyed weakly on the shape, so a shape that
+    the shape cache evicts frees its HighsLps.  A call sets only the row
+    bounds.  ``passModel`` copies the HighsLp it is given, so the kept one
+    never holds solver state.
+    """
+    lps = getattr(_local, "lps", None)
+    if lps is None:
+        lps = _local.lps = weakref.WeakKeyDictionary()
+    lp = lps.get(shape)
+    if lp is None:
+        highspy = _highspy()
+        n = len(shape.lp_cost)
+        lp = highspy.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = n
+        lp.num_row_ = lp.a_matrix_.num_row_ = len(b)
+        lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = shape.lp_start
+        lp.a_matrix_.index_ = shape.lp_index
+        lp.a_matrix_.value_ = shape.lp_value
+        lp.col_cost_ = shape.lp_cost
+        lp.col_lower_ = shape.lp_lower
+        lp.col_upper_ = shape.lp_upper
+        lps[shape] = lp
     lp.row_lower_ = lp.row_upper_ = b
     return lp
 
@@ -682,8 +727,12 @@ def _solve_cnt1(problem: FeasibilityProblem) -> _Solve:
     thread's HiGHS instance (:func:`_solver`), starting from the shape's
     start basis, never from an earlier system's.
 
-    Returns the degree, twice (sum of pair targets - that maximum) clamped
-    at 0, and the clique tables attaining the maximum.
+    Per call it converts only the right-hand side: this thread's HighsLp of
+    the shape gets new row bounds and goes to ``passModel``, which copies
+    it.  Never pass the model as numpy arrays through passModel's other
+    overloads; see the module docstring.  Returns the degree, twice (sum of
+    pair targets - that maximum) clamped at 0, and the clique tables
+    attaining the maximum.
     """
     shape = problem.shape
     rhs, pairs = problem.rhs.tolist(), shape.pair_rows
@@ -713,28 +762,42 @@ def _witness(
     zero mass gets the uniform conditional, so every conditional sums to
     one.  One pass from the root then gives each child's marginal of the
     joint as its parent's marginal on their separator times its conditional.
+
+    Tables are small, so numpy's per-call cost would outweigh its
+    arithmetic, and the glue runs in plain floats along the shape's
+    ``glue`` plan.  Each separator sum adds its
+    entries in table order, as ``np.bincount`` would, so every table and
+    marginal is the same to the bit as the same steps in numpy.
     """
     shape = problem.shape
-    tables = np.split(np.maximum(x, 0.0), shape.splits)
-    marginals = list(tables)
-    factors = [tables[0]]
-    for (parent, child), (parent_entry, child_entry) in zip(
-        shape.tree, shape.separator_entries
-    ):
-        table = tables[child]
-        separator = np.bincount(child_entry, weights=table)
-        den = separator[child_entry]
-        conditional = np.divide(
-            table, den, out=np.full_like(table, separator.size / table.size),
-            where=den > 0,
-        )
-        from_parent = np.bincount(
-            parent_entry, weights=marginals[parent], minlength=separator.size
-        )
-        marginals[child] = from_parent[child_entry] * conditional
-        factors.append(conditional)
-    witness = CouplingWitness(problem.variables, shape.cliques, shape.tree, tuple(factors))
-    return witness, np.concatenate(marginals)
+    x = [0.0 if v <= 0.0 else v for v in x.tolist()]  # np.maximum(x, 0.0)
+    marginals = list(x)
+    factors = x[:shape.offsets[1]]
+    sizes = [len(factors)]
+    for parent_at, parent_entry, child_at, child_entry, width in shape.glue:
+        size = len(child_entry)
+        table = x[child_at:child_at + size]
+        separator = [0.0] * width
+        for value, s in zip(table, child_entry):
+            separator[s] += value
+        from_parent = [0.0] * width
+        for value, s in zip(marginals[parent_at:parent_at + len(parent_entry)], parent_entry):
+            from_parent[s] += value
+        uniform = width / size
+        for i, value, s in zip(range(child_at, child_at + size), table, child_entry):
+            den = separator[s]
+            conditional = value / den if den > 0.0 else uniform
+            factors.append(conditional)
+            marginals[i] = from_parent[s] * conditional
+        sizes.append(size)
+    flat = np.array(factors)
+    tables = []
+    start = 0
+    for size in sizes:
+        tables.append(flat[start:start + size])
+        start += size
+    witness = CouplingWitness(problem.variables, shape.cliques, shape.tree, tuple(tables))
+    return witness, np.array(marginals)
 
 
 def witness_violation(
@@ -754,10 +817,10 @@ def witness_violation(
         )
     index = np.arange(x.size)
     worst = max(0.0, float(-x.min()), abs(float(x.sum()) - 1.0))
-    for _, positions, probs in marg.bunches:
+    for positions, probs in marg.bunches:
         got = np.bincount(_gather_bits(index, positions), weights=x, minlength=len(probs))
         worst = max(worst, float(np.abs(got - probs).max()))
-    for _, u, v, target in marg.pairs:
+    for u, v, target in marg.pairs:
         equal = float(x[((index >> u) & 1) == ((index >> v) & 1)].sum())
         worst = max(worst, abs(equal - target))
     return worst
@@ -775,14 +838,15 @@ def decide(system: System, constraint: CouplingConstraint) -> FeasibilityVerdict
     problem = _clique_problem(marg)
     solve = _solve_cnt1(problem)
     feasible = solve.degree <= EPS_FEAS
-    log.debug(
-        "decide: m=%d, %d cliques, CNT1 LP %d x %d, %s after %d simplex"
-        " iterations, degree %.3g -> %s",
-        problem.num_variables, len(problem.cliques),
-        len(problem.rhs) - len(marg.pairs),
-        len(problem.shape.lp_cost), solve.status, solve.iterations,
-        solve.degree, "feasible" if feasible else "infeasible",
-    )
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "decide: m=%d, %d cliques, CNT1 LP %d x %d, %s after %d simplex"
+            " iterations, degree %.3g -> %s",
+            problem.num_variables, len(problem.cliques),
+            len(problem.rhs) - len(marg.pairs),
+            len(problem.shape.lp_cost), solve.status, solve.iterations,
+            solve.degree, "feasible" if feasible else "infeasible",
+        )
     if not feasible:
         return FeasibilityVerdict(
             feasible=False, witness=None,

@@ -23,14 +23,17 @@ same criterion with the gaps left out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import InconsistentSystemError, RankError
 from .system import (
     EPS_FEAS,
     EPS_PROB,
+    Connection,
     CouplingConstraint,
     System,
     consistency,
+    consistency_of,
     expectation,
     product_expectation,
 )
@@ -148,15 +151,21 @@ def _cycle_sides(system: System, layout: CyclicLayout) -> tuple[list[float], dic
 
 
 def cyclic_criterion(
-    system: System, layout: CyclicLayout, constraint: CouplingConstraint
+    system: System,
+    layout: CyclicLayout,
+    constraint: CouplingConstraint,
+    conns: Sequence[Connection] | None = None,
 ) -> CriterionResult:
     """The rank-n criterion s_odd(e) <= n - 2 + sum of gaps.
 
     Under equal-always the gaps must vanish: inconsistently connected input
-    is refused, and the right side is n - 2.
+    is refused, and the right side is n - 2.  A caller that has the
+    system's connections passes them as ``conns``, so they are not built
+    again for that check.
     """
     if constraint is CouplingConstraint.EQUAL_ALWAYS:
-        gap = consistency(system).max_marginal_gap
+        report = consistency(system) if conns is None else consistency_of(conns)
+        gap = report.max_marginal_gap
         if gap > EPS_PROB:
             raise InconsistentSystemError(
                 "no closed form for equal-always on inconsistently connected"

@@ -8,13 +8,14 @@ verbatim from the operations that produced them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
-from .cyclic import CriterionResult, detect_cyclic
+from .cyclic import CriterionResult, CyclicLayout, detect_cyclic
 from .fileio import dumps_canonical, format_float
 from .system import (
     EPS_FEAS,
     EPS_PROB,
+    Connection,
     CouplingConstraint,
     System,
     connections,
@@ -29,8 +30,16 @@ CONTEXTUAL = "contextual"
 
 
 def system_summary(system: System) -> dict:
-    layout = detect_cyclic(system)
-    conns = connections(system)
+    """The report's ``system`` block: ids, cyclic rank, consistency and
+    every connection's marginals."""
+    return system_summary_of(system, detect_cyclic(system), connections(system))
+
+
+def system_summary_of(
+    system: System, layout: CyclicLayout | None, conns: Sequence[Connection]
+) -> dict:
+    """:func:`system_summary` of a system whose cyclic layout (None when it
+    has none) and connections the caller already has."""
     report = consistency_of(conns)
     return {
         "contents": [c.id for c in system.contents],

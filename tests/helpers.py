@@ -431,6 +431,57 @@ def solve_cnt1_cold(problem):
     return _cnt1_solve(problem, _fresh_highs())
 
 
+def clique_tables(problem, x) -> list[np.ndarray]:
+    """The clique tables laid end to end in x, split per clique."""
+    return np.split(np.asarray(x), problem.shape.offsets[1:-1])
+
+
+def separator_entries(problem) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per tree edge, the separator entry that each entry of the parent's
+    and of the child's table falls in."""
+    return [
+        (np.array(parent_entry), np.array(child_entry))
+        for _, parent_entry, _, child_entry, _ in problem.shape.glue
+    ]
+
+
+def glue_numpy(problem, x):
+    """The witness glue as numpy array operations, the way the library did
+    it before it glued in plain floats: the clipped root table and each
+    child's conditional table, and each clique's marginal of the glued
+    joint laid out like x.  Its bits are the oracle for decide's tables,
+    ``probs`` and ``max_constraint_violation``."""
+    tables = clique_tables(problem, np.maximum(x, 0.0))
+    marginals = list(tables)
+    factors = [tables[0]]
+    for (parent, child), (parent_entry, child_entry) in zip(
+        problem.tree, separator_entries(problem)
+    ):
+        table = tables[child]
+        separator = np.bincount(child_entry, weights=table)
+        den = separator[child_entry]
+        conditional = np.divide(
+            table, den, out=np.full_like(table, separator.size / table.size),
+            where=den > 0,
+        )
+        from_parent = np.bincount(
+            parent_entry, weights=marginals[parent], minlength=separator.size
+        )
+        marginals[child] = from_parent[child_entry] * conditional
+        factors.append(conditional)
+    return tuple(factors), np.concatenate(marginals)
+
+
+def clique_check_numpy(problem, marginals) -> float:
+    """The largest gap between a bunch, pair or mass row of the problem and
+    its value under the clique marginals, summed by ``np.bincount``."""
+    rows, cols = problem.shape.elastic_entries
+    k = problem.elastic_rows
+    return float(
+        np.abs(np.bincount(rows, weights=marginals[cols], minlength=k) - problem.rhs[:k]).max()
+    )
+
+
 def max_deterministic_cyclic_lhs(n: int = 4) -> float:
     """Largest criterion left side any deterministic +1/-1 assignment can
     produce: the classical bound certified by exhaustive enumeration."""

@@ -102,6 +102,39 @@ def test_system_summary_builds_the_connections_once(monkeypatch):
     assert summary["consistently_connected"] is report.consistently_connected
 
 
+@pytest.mark.parametrize("args", [
+    ("analyze", "--input", "bell_pr_box.json", "--constraint", "equal-always"),
+    ("analyze", "--input", "bell_pr_box.json", "--constraint", "equal-always",
+     "--method", "both"),
+    ("analyze", "--input", "bell_mixed.json", "--method", "closed-form"),
+    ("qq", "--input", "qq_unequal_marginals.json"),
+], ids=["analyze_equal_always_auto", "analyze_equal_always_both",
+        "analyze_closed_form", "qq"])
+def test_cli_builds_the_layout_and_connections_once(monkeypatch, args):
+    import cbdsys.cli
+    import cbdsys.report
+    import cbdsys.system
+    from cbdsys import connections, detect_cyclic
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(system):
+            calls.append(name)
+            return fn(system)
+        return wrapper
+
+    # consistency() looks its connections up in cbdsys.system.
+    for module in (cbdsys.system, cbdsys.report, cbdsys.cli):
+        monkeypatch.setattr(module, "connections", counted("connections", connections))
+    for module in (cbdsys.report, cbdsys.cli):
+        monkeypatch.setattr(module, "detect_cyclic", counted("detect_cyclic", detect_cyclic))
+    args = (args[0], "--input", str(INPUT_DIR / args[2]), *args[3:])
+    result = _invoke(args)
+    assert result.exit_code in (0, 3), result.stderr
+    assert sorted(calls) == ["connections", "detect_cyclic"]
+
+
 def test_stdin_input():
     from click.testing import CliRunner
 

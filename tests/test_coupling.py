@@ -1,5 +1,6 @@
 """coupling-engine: LP feasibility, witnesses, and the simplex oracle."""
 
+import gc
 import itertools
 import sys
 import threading
@@ -37,10 +38,13 @@ from cbdsys.coupling import SHAPE_CACHE_SIZE, FeasibilityProblem, _shape
 from helpers import (
     brute_force_decide,
     build_joint_problem,
+    clique_check_numpy,
+    clique_tables,
     clique_tree_by_rescanning,
     cycle_from_moments,
     cyclic_criterion_margin,
     flip_content,
+    glue_numpy,
     marginalize_joint,
     max_equality_by_basis_enumeration,
     pair_equal_probability,
@@ -50,6 +54,7 @@ from helpers import (
     random_rank2,
     random_rank4_general,
     random_small_system,
+    separator_entries,
     solve_cnt1_cold,
     solve_cnt1_fresh,
 )
@@ -317,9 +322,9 @@ def test_glue_keeps_mass_where_a_child_separator_is_empty(rng):
     system = random_chain(rng, 4)
     problem = build_feasibility_problem(system, ME)
     assert problem.tree
-    tables = np.split(rng.dirichlet(np.ones(len(problem.shape.lp_cost))), problem.shape.splits)
+    tables = clique_tables(problem, rng.dirichlet(np.ones(len(problem.shape.lp_cost))))
     _, child = problem.tree[0]
-    _, child_entry = problem.shape.separator_entries[0]
+    _, child_entry = separator_entries(problem)[0]
     tables[child][child_entry == 0] = 0.0
     x = np.concatenate(tables)
     x[: tables[0].size] /= tables[0].sum()
@@ -327,11 +332,49 @@ def test_glue_keeps_mass_where_a_child_separator_is_empty(rng):
     assert sum(witness.probs) == pytest.approx(1.0, abs=1e-12)
     m = problem.num_variables
     for clique, marginal in zip(
-        problem.cliques, np.split(marginals, problem.shape.splits)
+        problem.cliques, clique_tables(problem, marginals)
     ):
         assert marginalize_joint(witness.probs, list(clique), m) == pytest.approx(
             marginal.tolist(), abs=1e-12
         )
+
+
+def test_glue_matches_numpy_bit_for_bit(rng, monkeypatch):
+    # decide glues the witness in plain floats; helpers.glue_numpy does the
+    # same steps as numpy array operations.  Tables, the dense joint and the
+    # per-clique residual must agree to the bit, also where a child
+    # separator entry has no mass.
+    solves = []
+    solve = coupling._solve_cnt1
+
+    def recorded(problem):
+        solves.append((problem, solve(problem)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(coupling, "_solve_cnt1", recorded)
+    systems = [random_small_system(rng, 12) for _ in range(150)]
+    systems += [_with_sparse_tables(random_small_system(rng, 12), rng) for _ in range(150)]
+    systems += [
+        random_cycle(rng, n, consistent)
+        for n in range(3, 11) for consistent in (False, True) for _ in range(3)
+    ]
+    feasible = empty_separators = 0
+    for system in systems:
+        for constraint in (EA, ME):
+            verdict = decide(system, constraint)
+            if not verdict.feasible:
+                continue
+            feasible += 1
+            problem, solved = solves[-1]
+            empty_separators += _empty_child_separator_entries(problem, solved.x)
+            tables, marginals = glue_numpy(problem, solved.x)
+            witness = verdict.witness
+            assert [t.tobytes() for t in witness.tables] == [t.tobytes() for t in tables]
+            oracle = coupling.CouplingWitness(witness.variables, witness.cliques, witness.tree, tables)
+            assert witness.probs.tobytes() == oracle.probs.tobytes()
+            assert verdict.max_constraint_violation.hex() == clique_check_numpy(problem, marginals).hex()
+    assert feasible > 300
+    assert empty_separators > 0
 
 
 def _with_sparse_tables(system, rng):
@@ -354,9 +397,9 @@ def _with_sparse_tables(system, rng):
 def _empty_child_separator_entries(problem, x):
     """How many separator entries of child cliques carry no mass in the
     clique tables x."""
-    tables = np.split(np.maximum(x, 0.0), problem.shape.splits)
+    tables = clique_tables(problem, np.maximum(x, 0.0))
     count = 0
-    for (_, child), (_, child_entry) in zip(problem.tree, problem.shape.separator_entries):
+    for (_, child), (_, child_entry) in zip(problem.tree, separator_entries(problem)):
         count += int((np.bincount(child_entry, weights=tables[child]) == 0).sum())
     return count
 
@@ -511,8 +554,15 @@ class TestSolverInstance:
     def test_any_order_matches_a_fresh_solver(self, problems):
         oracle = [_solve_bits(solve_cnt1_fresh(problem)) for problem in problems]
         order = np.random.default_rng(12).permutation(len(problems)).tolist()
-        for i in order + order[::-1]:
+        for i in order:
             assert _solve_bits(coupling._solve_cnt1(problems[i])) == oracle[i], i
+        # Each shape's HighsLp is kept on this thread, and solving again
+        # reuses it, with only its row bounds set anew.
+        kept = {id(problem.shape): coupling._local.lps[problem.shape] for problem in problems}
+        for i in order[::-1]:
+            assert _solve_bits(coupling._solve_cnt1(problems[i])) == oracle[i], i
+            shape = problems[i].shape
+            assert coupling._local.lps[shape] is kept[id(shape)], i
 
     def test_failed_solve_leaves_the_instance_clean(self, problems):
         # Halving every bunch entry makes the bunch rows sum to 1/2 while
@@ -520,12 +570,41 @@ class TestSolverInstance:
         problem = next(p for p in problems if len(p.cliques) > 1)
         rhs = problem.rhs.copy()
         rhs[:problem.shape.pair_rows.start] *= 0.5
-        broken = FeasibilityProblem(problem.variables, problem.shape, rhs, problem.row_labels)
+        broken = FeasibilityProblem(problem.variables, problem.shape, rhs)
         for solve in (solve_cnt1_fresh, coupling._solve_cnt1):
             with pytest.raises(SolverError, match=r"^LP solver failed: HiGHS model status "):
                 solve(broken)
+        # The same shape's kept HighsLp held the broken row bounds last.
+        assert _solve_bits(coupling._solve_cnt1(problem)) == _solve_bits(solve_cnt1_fresh(problem))
         for later in problems[:50]:
             assert _solve_bits(coupling._solve_cnt1(later)) == _solve_bits(solve_cnt1_fresh(later))
+
+    def test_kept_lps_are_bounded_by_the_shape_cache(self, rng):
+        # A thread keeps one HighsLp per live shape.  Past the shape
+        # cache's bound, evicted shapes free theirs.
+        systems = [random_chain(rng, n) for n in range(1, 11)]
+        systems += [random_cycle(rng, n, consistent=False) for n in range(3, 11)]
+        systems += [
+            build_system([f"q{i}" for i in range(j)],
+                         [(f"c{i}", [f"q{i}"], [0.5, 0.5]) for i in range(j)])
+            for j in range(1, 21)
+        ]
+        systems += [random_small_system(rng, 12) for _ in range(10)]
+        sizes = []
+
+        def work():
+            for system in systems:
+                decide(system, ME)
+            sizes.append(len(coupling._local.lps))
+            gc.collect()
+            sizes.append(len(coupling._local.lps))
+
+        _shape.cache_clear()
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join()
+        assert _shape.cache_info().misses >= 40
+        assert 0 < sizes[1] <= sizes[0] <= SHAPE_CACHE_SIZE
 
     def test_start_basis_matches_a_cold_solve(self, cases, problems):
         # Started from the shape's start basis, the solve ends where the
