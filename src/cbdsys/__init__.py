@@ -9,7 +9,6 @@ feasibility search with an explicit witness for everything else.
 
 from .cyclic import (
     CriterionResult,
-    CyclicLayout,
     cbd_cyclic2,
     cbd_cyclic4,
     chsh_fine,
@@ -51,6 +50,7 @@ from .system import (
     Content,
     Context,
     CouplingConstraint,
+    CyclicLayout,
     System,
     build_system,
     connections,

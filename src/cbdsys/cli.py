@@ -60,7 +60,6 @@ from .report import (
     render_json,
     render_text,
     system_summary,
-    system_summary_of,
     witness_entry,
 )
 from .scenarios import (
@@ -69,7 +68,7 @@ from .scenarios import (
     check_double_slit,
     sample_double_slit_params,
 )
-from .system import EPS_PROB, CouplingConstraint, System, connections, consistency_of
+from .system import EPS_PROB, CouplingConstraint, System, consistency
 
 if TYPE_CHECKING:
     from .coupling import FeasibilityVerdict
@@ -163,13 +162,12 @@ def analyze(input_stream, constraint: str, method: str, output: str, witness: bo
     want = _CONSTRAINTS[constraint]
     system = parse_system(input_stream)
     layout = detect_cyclic(system)
-    conns = connections(system)
     run_closed = method in ("closed-form", "both")
     run_lp = method in ("lp", "both")
     if method == "auto":
         if layout is not None and (
             want is CouplingConstraint.MAX_EQUALITY
-            or consistency_of(conns).consistently_connected
+            or consistency(system).consistently_connected
         ):
             run_closed = True
         else:
@@ -187,7 +185,7 @@ def analyze(input_stream, constraint: str, method: str, output: str, witness: bo
             name = "chsh_fine"
         else:
             name = f"cyclic{layout.rank}"
-        results.append(criterion_entry(name, cyclic_criterion(system, layout, want, conns)))
+        results.append(criterion_entry(name, cyclic_criterion(system, layout, want)))
     if run_lp:
         lp_verdict = decide(system, want)
         results.append(lp_entry(want, lp_verdict))
@@ -196,7 +194,7 @@ def analyze(input_stream, constraint: str, method: str, output: str, witness: bo
         "command": "analyze",
         "constraint": want.value,
         "method": method,
-        "system": system_summary_of(system, layout, conns),
+        "system": system_summary(system),
         "results": results,
     }
     if len(results) > 1:
@@ -304,7 +302,7 @@ def qq(input_stream, output: str):
     statistic = qq_statistic(system, layout)
     report = {
         "command": "qq",
-        "system": system_summary_of(system, layout, connections(system)),
+        "system": system_summary(system),
         "qq_statistic": statistic,
         "qq_equality_holds": abs(statistic) <= EPS_PROB,
         "results": [criterion_entry("cyclic2", cbd_cyclic2(system, layout))],

@@ -113,7 +113,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConnectionSizeError, SolverError, SystemSizeError
-from .system import EPS_FEAS, Bunch, System, marginal
+from .system import EPS_FEAS, Bunch, System
 
 # The data model defines these, so the closed forms need not load this
 # module; they stay importable from here.
@@ -364,15 +364,15 @@ def _marginals(system: System, constraint: CouplingConstraint) -> _Marginals:
 
     One pass over the bunches lists each content's holders with the
     variable positions, and only the members of two-member connections have
-    their marginals taken.
+    their marginals read, from each bunch's kept ``plus_probs``.
     """
-    holders: dict[str, list[tuple[Bunch, int]]] = {c.id: [] for c in system.contents}
+    holders: dict[str, list[tuple[Bunch, int, int]]] = {c.id: [] for c in system.contents}
     variables = []
     bunches = []
     for b in system.bunches:
         start = len(variables)
-        for q in b.contents:
-            holders[q].append((b, len(variables)))
+        for j, q in enumerate(b.contents):
+            holders[q].append((b, j, len(variables)))
             variables.append((q, b.context))
         bunches.append((tuple(range(start, len(variables))), b.probs))
     for q, held in holders.items():
@@ -388,10 +388,10 @@ def _marginals(system: System, constraint: CouplingConstraint) -> _Marginals:
             f" limit is 2^{M_MAX}"
         )
     pairs = []
-    for q, held in holders.items():
+    for held in holders.values():
         if len(held) == 2:
-            (a, u), (b, v) = held
-            pairs.append((u, v, constraint.target(marginal(a, q), marginal(b, q))))
+            (a, i, u), (b, j, v) = held
+            pairs.append((u, v, constraint.target(a.plus_probs[i], b.plus_probs[j])))
     return _Marginals(tuple(variables), tuple(bunches), tuple(pairs))
 
 
@@ -653,7 +653,8 @@ _local = threading.local()
 def _solver():
     """This thread's HiGHS instance, made on its first solve with the CNT1
     options: no presolve, dual simplex, no output, TIGHT_TOL primal and dual
-    feasibility tolerances.
+    feasibility tolerances.  Making it also keeps the optimal model status
+    for :func:`_run`, so a solve never goes through :func:`_highspy`'s lock.
 
     Threads never share an instance, so systems are decided concurrently
     without locks.  Each solve hands the instance a new model (a copy of
@@ -673,6 +674,7 @@ def _solver():
         options.dual_feasibility_tolerance = TIGHT_TOL
         highs = highspy._Highs()
         highs.passOptions(options)
+        _local.optimal = highspy.HighsModelStatus.kOptimal
         _local.highs = highs
     return highs
 
@@ -711,12 +713,13 @@ def _cnt1_lp(shape: _Shape, b):
 
 
 def _run(highs) -> str:
-    """Run HiGHS on the model it holds and return its model status's name;
-    raises SolverError naming the status unless it is optimal."""
+    """Run HiGHS on the model it holds, this thread's instance from
+    :func:`_solver`, and return its model status's name; raises SolverError
+    naming the status unless it is optimal."""
     highs.run()
     status = highs.getModelStatus()
     name = highs.modelStatusToString(status)
-    if status != _highspy().HighsModelStatus.kOptimal:
+    if status != _local.optimal:
         raise SolverError(f"LP solver failed: HiGHS model status {name!r}")
     return name
 

@@ -23,40 +23,17 @@ same criterion with the gaps left out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import InconsistentSystemError, RankError
 from .system import (
     EPS_FEAS,
     EPS_PROB,
-    Connection,
     CouplingConstraint,
+    CyclicLayout,
     System,
     consistency,
-    consistency_of,
-    expectation,
     product_expectation,
 )
-
-
-@dataclass(frozen=True)
-class CyclicLayout:
-    """Canonical traversal of a cyclic system.
-
-    ``order[i]`` is ``(content, (previous context, current context))``: the
-    i-th content of the cycle together with the two contexts holding it, and
-    the *current* context is the one it shares with the next content.  The
-    cycle starts at the lexicographically least content id and runs in the
-    direction that makes the second content id least (ties broken by least
-    current-context id), so equal systems always canonicalize identically.
-    """
-
-    rank: int
-    order: tuple[tuple[str, tuple[str, str]], ...]
-
-    def cycle_contexts(self) -> tuple[str, ...]:
-        """Context ids in cycle order (current context of each entry)."""
-        return tuple(pair[1] for _, pair in self.order)
 
 
 @dataclass(frozen=True)
@@ -89,49 +66,14 @@ class CriterionResult:
 
 
 def detect_cyclic(system: System) -> CyclicLayout | None:
-    """Recognize a cyclic system of any rank and return its canonical layout.
+    """Recognize a cyclic system of any rank and return its canonical layout
+    (the system's kept :attr:`System.cyclic_layout`).
 
     Returns None for everything else (not an error): contexts with other than
     two contents, contents in other than two contexts, or multiple disjoint
     cycles.
     """
-    if any(len(b.contents) != 2 for b in system.bunches):
-        return None
-
-    holders: dict[str, list[str]] = {c.id: [] for c in system.contents}
-    for b in system.bunches:
-        for q in b.contents:
-            holders[q].append(b.context)
-    if any(len(ctxs) != 2 for ctxs in holders.values()):
-        return None
-
-    # Every context holds two contents and every content sits in two
-    # contexts, so there are as many contexts as contents.
-    rank = len(system.bunches)
-    other_content = {
-        b.context: {b.contents[0]: b.contents[1], b.contents[1]: b.contents[0]}
-        for b in system.bunches
-    }
-
-    start = min(holders)
-    # Direction: pick the start context giving the least second content,
-    # then the least context id.
-    first_ctx = min(
-        holders[start], key=lambda cid: (other_content[cid][start], cid)
-    )
-
-    order: list[tuple[str, tuple[str, str]]] = []
-    q, cur = start, first_ctx
-    for _ in range(rank):
-        prev = holders[q][0] if holders[q][1] == cur else holders[q][1]
-        order.append((q, (prev, cur)))
-        q = other_content[cur][q]
-        cur = holders[q][0] if holders[q][1] == cur else holders[q][1]
-
-    # The walk must close into a single cycle covering every content.
-    if q != start or len({entry[0] for entry in order}) != rank:
-        return None
-    return CyclicLayout(rank=rank, order=tuple(order))
+    return system.cyclic_layout
 
 
 def _cycle_sides(system: System, layout: CyclicLayout) -> tuple[list[float], dict[str, float]]:
@@ -146,26 +88,23 @@ def _cycle_sides(system: System, layout: CyclicLayout) -> tuple[list[float], dic
         products.append(product_expectation(bunch[ctx], q_i, q_next))
     deltas = {}
     for q, (prev, cur) in layout.order:
-        deltas[q] = abs(expectation(bunch[prev], q) - expectation(bunch[cur], q))
+        a, b = bunch[prev], bunch[cur]
+        e_prev = 2.0 * a.plus_probs[a.bit(q)] - 1.0
+        e_cur = 2.0 * b.plus_probs[b.bit(q)] - 1.0
+        deltas[q] = abs(e_prev - e_cur)
     return products, deltas
 
 
 def cyclic_criterion(
-    system: System,
-    layout: CyclicLayout,
-    constraint: CouplingConstraint,
-    conns: Sequence[Connection] | None = None,
+    system: System, layout: CyclicLayout, constraint: CouplingConstraint
 ) -> CriterionResult:
     """The rank-n criterion s_odd(e) <= n - 2 + sum of gaps.
 
     Under equal-always the gaps must vanish: inconsistently connected input
-    is refused, and the right side is n - 2.  A caller that has the
-    system's connections passes them as ``conns``, so they are not built
-    again for that check.
+    is refused, and the right side is n - 2.
     """
     if constraint is CouplingConstraint.EQUAL_ALWAYS:
-        report = consistency(system) if conns is None else consistency_of(conns)
-        gap = report.max_marginal_gap
+        gap = consistency(system).max_marginal_gap
         if gap > EPS_PROB:
             raise InconsistentSystemError(
                 "no closed form for equal-always on inconsistently connected"

@@ -21,15 +21,17 @@ content in context order; omitted outcomes are zero.  The optional top-level
 
 Serialization always emits the canonical dense form with floats printed to 17
 significant digits, so parse -> serialize -> parse is the identity and the
-output round-trips losslessly byte for byte.
+output round-trips losslessly byte for byte.  One writer,
+:func:`dumps_canonical`, prints both system files and the CLI's JSON reports.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import IO, Any
+from typing import IO, Any, Callable
 
 from .errors import ParseError
 from .system import NO, YES, Bunch, Content, System
@@ -39,60 +41,87 @@ DEFAULT_VALUE_ALIASES = {"Yes": YES, "No": NO, "+1": YES, "-1": NO, "1": YES}
 
 def format_float(value: float) -> str:
     """Decimal rendering with 17 significant digits (lossless for doubles)."""
-    if math.isnan(value) or math.isinf(value):
+    if not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite value {value!r}")
     return format(value + 0.0, ".17g")
 
 
-def dumps_canonical(obj: Any, indent: int = 2) -> str:
-    """Deterministic JSON: insertion-ordered keys, fixed indentation, floats
-    via :func:`format_float`.  Used for system files and machine reports so
-    equal inputs always produce byte-identical output."""
+def dumps_canonical(obj: Any) -> str:
+    """Deterministic JSON: insertion-ordered keys, two-space indentation,
+    strings and keys ASCII-escaped as ``json.dumps`` does, floats via
+    :func:`format_float`.  Used for system files and machine reports so
+    equal inputs always produce byte-identical output.
+
+    One recursive pass appends the pieces to a list: each node is
+    dispatched on its exact type first, with ``isinstance`` checks after
+    that for subclasses (``numpy.float64``, say), and each level is handed
+    its newline-plus-indent string instead of rebuilding it.
+    """
     pieces: list[str] = []
-    _write_json(obj, pieces, indent, 0)
+    _write_json(obj, pieces.append, "\n")
     return "".join(pieces)
 
 
-def _write_json(obj: Any, out: list[str], indent: int, depth: int) -> None:
-    pad = " " * (indent * (depth + 1))
-    close_pad = " " * (indent * depth)
-    if obj is None:
-        out.append("null")
+def _write_json(obj: Any, emit: Callable[[str], None], newline: str) -> None:
+    """Append ``obj`` through ``emit``; ``newline`` is a line break plus the
+    indent of the line ``obj`` starts on."""
+    kind = type(obj)
+    if kind is str:
+        emit(_quote(obj))
+    elif kind is float:
+        emit(format_float(obj))
+    elif kind is dict:
+        _write_object(obj, emit, newline)
+    elif kind is list or kind is tuple:
+        _write_array(obj, emit, newline)
+    elif obj is None:
+        emit("null")
     elif obj is True:
-        out.append("true")
+        emit("true")
     elif obj is False:
-        out.append("false")
+        emit("false")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        emit(_quote(obj))
     elif isinstance(obj, int):
-        out.append(str(obj))
+        emit(str(obj))
     elif isinstance(obj, float):
-        out.append(format_float(obj))
+        emit(format_float(obj))
     elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append(f"{pad}{json.dumps(key)}: ")
-            _write_json(value, out, indent, depth + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(f"{close_pad}}}")
+        _write_object(obj, emit, newline)
     elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(seq):
-            out.append(pad)
-            _write_json(value, out, indent, depth + 1)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(f"{close_pad}]")
+        _write_array(obj, emit, newline)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def _write_object(obj: dict, emit: Callable[[str], None], newline: str) -> None:
+    if not obj:
+        emit("{}")
+        return
+    inner = newline + "  "
+    separator = "{" + inner
+    for key, value in obj.items():
+        if not isinstance(key, str):
+            raise TypeError(f"JSON object keys must be strings, got {key!r}")
+        emit(separator)
+        emit(_quote(key))
+        emit(": ")
+        _write_json(value, emit, inner)
+        separator = "," + inner
+    emit(newline + "}")
+
+
+def _write_array(obj: list | tuple, emit: Callable[[str], None], newline: str) -> None:
+    if not obj:
+        emit("[]")
+        return
+    inner = newline + "  "
+    separator = "[" + inner
+    for value in obj:
+        emit(separator)
+        _write_json(value, emit, inner)
+        separator = "," + inner
+    emit(newline + "]")
 
 
 def _value_aliases(doc: dict) -> dict[str, int]:

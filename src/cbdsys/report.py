@@ -8,18 +8,17 @@ verbatim from the operations that produced them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
-from .cyclic import CriterionResult, CyclicLayout, detect_cyclic
+from .cyclic import CriterionResult, detect_cyclic
 from .fileio import dumps_canonical, format_float
 from .system import (
     EPS_FEAS,
     EPS_PROB,
-    Connection,
     CouplingConstraint,
     System,
     connections,
-    consistency_of,
+    consistency,
 )
 
 if TYPE_CHECKING:
@@ -31,16 +30,9 @@ CONTEXTUAL = "contextual"
 
 def system_summary(system: System) -> dict:
     """The report's ``system`` block: ids, cyclic rank, consistency and
-    every connection's marginals."""
-    return system_summary_of(system, detect_cyclic(system), connections(system))
-
-
-def system_summary_of(
-    system: System, layout: CyclicLayout | None, conns: Sequence[Connection]
-) -> dict:
-    """:func:`system_summary` of a system whose cyclic layout (None when it
-    has none) and connections the caller already has."""
-    report = consistency_of(conns)
+    every connection's marginals, read off the system's kept views."""
+    layout = detect_cyclic(system)
+    report = consistency(system)
     return {
         "contents": [c.id for c in system.contents],
         "contexts": [b.context for b in system.bunches],
@@ -54,7 +46,7 @@ def system_summary_of(
                     {"context": ctx, "p_plus": value} for ctx, value in conn.members
                 ],
             }
-            for conn in conns
+            for conn in connections(system)
         ],
     }
 

@@ -12,7 +12,12 @@ coupling demands of those comparisons; the closed-form criteria and the
 coupling engine share it.
 
 A System is validated when it is built: an invalid one raises
-ValidationError, so every System that exists is valid.
+ValidationError, so every System that exists is valid.  Being immutable, it
+works out its derived views on first use and keeps them: each bunch its
+contents' Pr[+1] (:attr:`Bunch.plus_probs`), the system its connections
+(:attr:`System.connections`) and its cyclic layout
+(:attr:`System.cyclic_layout`).  Every reader shares those, so a system's
+marginals, connections and cycle are each computed once.
 
 Encoding conventions, fixed for deterministic serialization:
 
@@ -43,6 +48,31 @@ EPS_FEAS = 1e-7
 #: as -1; every other outcome set is rejected at parse time.
 YES = 1
 NO = -1
+
+
+class _kept:
+    """A view computed from an immutable instance on its first read and
+    stored in the instance's ``__dict__``, where later reads find it without
+    calling here.
+
+    This is functools.cached_property without the lock that Python 3.11
+    takes around every first read, which costs about as much as a
+    two-content bunch's marginals.  Threads that read a view at once may
+    each compute it; they store equal values.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 def _clean_probs(probs: Iterable[float]) -> tuple[float, ...]:
@@ -100,6 +130,12 @@ class Bunch:
         object.__setattr__(self, "contents", tuple(self.contents))
         object.__setattr__(self, "probs", _clean_probs(self.probs))
 
+    @_kept
+    def plus_probs(self) -> tuple[float, ...]:
+        """Pr[+1] of each content, in content order, computed on first use
+        and kept; each is the same ``fsum`` as :func:`marginal`."""
+        return tuple(_plus_probability(self.probs, j) for j in range(len(self.contents)))
+
     def bit(self, content: str) -> int:
         """Bit position of ``content`` in this bunch's assignment index."""
         try:
@@ -131,6 +167,20 @@ class System:
         """The contexts, in declaration order, as (id, contents) views."""
         return tuple(Context(b.context, b.contents) for b in self.bunches)
 
+    @_kept
+    def connections(self) -> tuple[Connection, ...]:
+        """One Connection per declared content, built on first use and kept
+        (see :func:`connections`)."""
+        return _build_connections(self)
+
+    @_kept
+    def cyclic_layout(self) -> CyclicLayout | None:
+        """The canonical layout of a cyclic system of any rank, found on
+        first use and kept; None for every other system: contexts with other
+        than two contents, contents in other than two contexts, or multiple
+        disjoint cycles."""
+        return _find_cycle(self)
+
     def bunch(self, context_id: str) -> Bunch:
         for b in self.bunches:
             if b.context == context_id:
@@ -151,6 +201,26 @@ class Connection:
 
     content: str
     members: tuple[tuple[str, float], ...]
+
+
+@dataclass(frozen=True)
+class CyclicLayout:
+    """Canonical traversal of a cyclic system.
+
+    ``order[i]`` is ``(content, (previous context, current context))``: the
+    i-th content of the cycle together with the two contexts holding it, and
+    the *current* context is the one it shares with the next content.  The
+    cycle starts at the lexicographically least content id and runs in the
+    direction that makes the second content id least (ties broken by least
+    current-context id), so equal systems always canonicalize identically.
+    """
+
+    rank: int
+    order: tuple[tuple[str, tuple[str, str]], ...]
+
+    def cycle_contexts(self) -> tuple[str, ...]:
+        """Context ids in cycle order (current context of each entry)."""
+        return tuple(pair[1] for _, pair in self.order)
 
 
 @dataclass(frozen=True)
@@ -280,10 +350,14 @@ def require_valid(system: System) -> None:
         raise ValidationError(violations)
 
 
+def _plus_probability(probs: tuple[float, ...], bit: int) -> float:
+    """Sum of the entries whose assignment index has ``bit`` set."""
+    return math.fsum(p for i, p in enumerate(probs) if (i >> bit) & 1)
+
+
 def marginal(bunch: Bunch, content: str) -> float:
     """Pr[content = +1] under the bunch's joint distribution."""
-    bit = bunch.bit(content)
-    return math.fsum(p for i, p in enumerate(bunch.probs) if (i >> bit) & 1)
+    return _plus_probability(bunch.probs, bunch.bit(content))
 
 
 def expectation(bunch: Bunch, content: str) -> float:
@@ -305,33 +379,69 @@ def product_expectation(bunch: Bunch, a: str, b: str) -> float:
     )
 
 
-def connections(system: System) -> list[Connection]:
-    """One Connection per declared content, members in context-declaration order.
+def connections(system: System) -> tuple[Connection, ...]:
+    """One Connection per declared content, members in context-declaration
+    order: the system's kept :attr:`System.connections`."""
+    return system.connections
 
-    One pass over the bunches lists each content's holders, so the work is
-    linear in the number of variables.
-    """
-    holders: dict[str, list[Bunch]] = {c.id: [] for c in system.contents}
+
+def _build_connections(system: System) -> tuple[Connection, ...]:
+    """One pass over the bunches lists each content's holders with their
+    kept Pr[+1], so the work is linear in the number of variables."""
+    holders: dict[str, list[tuple[str, float]]] = {c.id: [] for c in system.contents}
     for b in system.bunches:
-        for q in b.contents:
-            holders[q].append(b)
-    return [
-        Connection(q, tuple((b.context, marginal(b, q)) for b in bunches))
-        for q, bunches in holders.items()
-    ]
+        for q, p in zip(b.contents, b.plus_probs):
+            holders[q].append((b.context, p))
+    return tuple(Connection(q, tuple(members)) for q, members in holders.items())
 
 
 def consistency(system: System) -> ConsistencyReport:
     """Largest within-connection marginal gap, and whether it is negligible."""
-    return consistency_of(connections(system))
-
-
-def consistency_of(conns: Iterable[Connection]) -> ConsistencyReport:
-    """:func:`consistency` of a system whose connections are ``conns``."""
     gap = 0.0
-    for conn in conns:
+    for conn in system.connections:
         if len(conn.members) < 2:
             continue
         values = [m for _, m in conn.members]
         gap = max(gap, max(values) - min(values))
     return ConsistencyReport(consistently_connected=gap <= EPS_PROB, max_marginal_gap=gap)
+
+
+def _find_cycle(system: System) -> CyclicLayout | None:
+    """:attr:`System.cyclic_layout`, found by one walk around the cycle."""
+    if any(len(b.contents) != 2 for b in system.bunches):
+        return None
+
+    holders: dict[str, list[str]] = {c.id: [] for c in system.contents}
+    for b in system.bunches:
+        for q in b.contents:
+            holders[q].append(b.context)
+    if any(len(ctxs) != 2 for ctxs in holders.values()):
+        return None
+
+    # Every context holds two contents and every content sits in two
+    # contexts, so there are as many contexts as contents.
+    rank = len(system.bunches)
+    other_content = {
+        b.context: {b.contents[0]: b.contents[1], b.contents[1]: b.contents[0]}
+        for b in system.bunches
+    }
+
+    start = min(holders)
+    # Direction: pick the start context giving the least second content,
+    # then the least context id.
+    first_ctx = min(
+        holders[start], key=lambda cid: (other_content[cid][start], cid)
+    )
+
+    order: list[tuple[str, tuple[str, str]]] = []
+    q, cur = start, first_ctx
+    for _ in range(rank):
+        prev = holders[q][0] if holders[q][1] == cur else holders[q][1]
+        order.append((q, (prev, cur)))
+        q = other_content[cur][q]
+        cur = holders[q][0] if holders[q][1] == cur else holders[q][1]
+
+    # The walk must close into a single cycle covering every content.
+    if q != start or len({entry[0] for entry in order}) != rank:
+        return None
+    return CyclicLayout(rank=rank, order=tuple(order))

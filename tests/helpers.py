@@ -11,6 +11,8 @@ hand-rolled simplex, where the library solves a clique-tree LP with HiGHS.
 from __future__ import annotations
 
 import itertools
+import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -480,6 +482,64 @@ def clique_check_numpy(problem, marginals) -> float:
     return float(
         np.abs(np.bincount(rows, weights=marginals[cols], minlength=k) - problem.rhs[:k]).max()
     )
+
+
+def dumps_canonical_reference(obj, indent: int = 2) -> str:
+    """The canonical JSON writer as the library wrote it before its one-pass
+    writer: a recursion that rebuilds the indent pads at every node and
+    escapes every string and key with ``json.dumps``.  Its bytes (and the
+    type of what it raises) are the oracle for ``fileio.dumps_canonical``."""
+    pieces: list[str] = []
+    _write_json_reference(obj, pieces, indent, 0)
+    return "".join(pieces)
+
+
+def _format_float_reference(value: float) -> str:
+    if math.isnan(value) or math.isinf(value):
+        raise ValueError(f"cannot serialize non-finite value {value!r}")
+    return format(value + 0.0, ".17g")
+
+
+def _write_json_reference(obj, out: list[str], indent: int, depth: int) -> None:
+    pad = " " * (indent * (depth + 1))
+    close_pad = " " * (indent * depth)
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_format_float_reference(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            out.append(f"{pad}{json.dumps(key)}: ")
+            _write_json_reference(value, out, indent, depth + 1)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(f"{close_pad}}}")
+    elif isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, value in enumerate(seq):
+            out.append(pad)
+            _write_json_reference(value, out, indent, depth + 1)
+            out.append(",\n" if i < len(seq) - 1 else "\n")
+        out.append(f"{close_pad}]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def max_deterministic_cyclic_lhs(n: int = 4) -> float:

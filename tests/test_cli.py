@@ -80,26 +80,43 @@ def test_text_and_json_carry_identical_numbers():
         assert format_float(value) in text_out
 
 
-def test_system_summary_builds_the_connections_once(monkeypatch):
-    import cbdsys.report
+def _count_views(monkeypatch) -> list[str]:
+    """Record each computation of a System's kept views: its connections,
+    its cyclic layout and each variable's Pr[+1]."""
     import cbdsys.system
-    from cbdsys import DoubleSlitParams, build_double_slit, consistency, connections
 
-    system = build_double_slit(DoubleSlitParams(0.1, 0.1, 0.08, 0.08, 0.05))
     calls = []
 
-    def counted(system):
-        calls.append(system)
-        return connections(system)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
 
-    # consistency() looks its connections up in cbdsys.system.
-    monkeypatch.setattr(cbdsys.system, "connections", counted)
-    monkeypatch.setattr(cbdsys.report, "connections", counted)
-    summary = cbdsys.report.system_summary(system)
-    assert calls == [system]
+    for attr, name in (("_build_connections", "connections"),
+                       ("_find_cycle", "detect_cyclic"),
+                       ("_plus_probability", "marginal")):
+        monkeypatch.setattr(cbdsys.system, attr,
+                            counted(name, getattr(cbdsys.system, attr)))
+    return calls
+
+
+def test_system_summary_builds_the_connections_once(monkeypatch):
+    from cbdsys import DoubleSlitParams, build_double_slit, connections, consistency
+    from cbdsys.report import system_summary
+
+    calls = _count_views(monkeypatch)
+    system = build_double_slit(DoubleSlitParams(0.1, 0.1, 0.08, 0.08, 0.05))
+    summary = system_summary(system)
     report = consistency(system)
+    assert connections(system) is connections(system)
     assert summary["max_marginal_gap"] == report.max_marginal_gap
     assert summary["consistently_connected"] is report.consistently_connected
+    # One connections build and one cycle walk per system, one fsum per
+    # variable, however often the summary and its callers read them.
+    assert sorted(set(calls)) == ["connections", "detect_cyclic", "marginal"]
+    assert calls.count("connections") == calls.count("detect_cyclic") == 1
+    assert calls.count("marginal") == sum(len(b.contents) for b in system.bunches)
 
 
 @pytest.mark.parametrize("args", [
@@ -111,28 +128,14 @@ def test_system_summary_builds_the_connections_once(monkeypatch):
 ], ids=["analyze_equal_always_auto", "analyze_equal_always_both",
         "analyze_closed_form", "qq"])
 def test_cli_builds_the_layout_and_connections_once(monkeypatch, args):
-    import cbdsys.cli
-    import cbdsys.report
-    import cbdsys.system
-    from cbdsys import connections, detect_cyclic
+    from cbdsys import parse_system
 
-    calls = []
-
-    def counted(name, fn):
-        def wrapper(system):
-            calls.append(name)
-            return fn(system)
-        return wrapper
-
-    # consistency() looks its connections up in cbdsys.system.
-    for module in (cbdsys.system, cbdsys.report, cbdsys.cli):
-        monkeypatch.setattr(module, "connections", counted("connections", connections))
-    for module in (cbdsys.report, cbdsys.cli):
-        monkeypatch.setattr(module, "detect_cyclic", counted("detect_cyclic", detect_cyclic))
+    variables = sum(len(b.contents) for b in parse_system(INPUT_DIR / args[2]).bunches)
+    calls = _count_views(monkeypatch)
     args = (args[0], "--input", str(INPUT_DIR / args[2]), *args[3:])
     result = _invoke(args)
     assert result.exit_code in (0, 3), result.stderr
-    assert sorted(calls) == ["connections", "detect_cyclic"]
+    assert sorted(calls) == ["connections", "detect_cyclic", *["marginal"] * variables]
 
 
 def test_stdin_input():

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from cbdsys import (
     serialize_system,
 )
 from cbdsys.fileio import dumps_canonical, format_float
+from helpers import dumps_canonical_reference
 
 RANK2_DOC = """
 {
@@ -170,3 +172,67 @@ class TestCanonicalJson:
         assert dumps_canonical(doc) == dumps_canonical(doc)
         # insertion order preserved, not sorted
         assert dumps_canonical(doc).index('"b"') < dumps_canonical(doc).index('"a"')
+
+
+#: Strings that escaping must get right: quotes, backslashes, control
+#: characters, line separators, non-ASCII, astral and lone surrogates.
+_TRICKY = ['"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "\u2028", "é", "日本", "\U0001f600", "\ud800"]
+_STRINGS = st.text() | st.sampled_from(_TRICKY)
+_FLOATS = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1])
+)
+_LEAVES = (
+    _STRINGS
+    | _FLOATS
+    | _FLOATS.map(np.float64)
+    | st.integers()
+    | st.integers(min_value=-(10**300), max_value=10**300)
+    | st.booleans()
+    | st.none()
+)
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_STRINGS, children, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+class TestWriterMatchesReference:
+    """dumps_canonical writes the bytes of the recursive writer it replaced
+    (tests/helpers.py:dumps_canonical_reference)."""
+
+    @given(_DOCUMENTS)
+    @settings(max_examples=400, deadline=None)
+    def test_same_bytes(self, doc):
+        # Wrapping adds four levels, so every document is at least that deep.
+        for wrapped in (doc, [{"k": ({"\u00e9": [doc, {}, []]},)}]):
+            assert dumps_canonical(wrapped) == dumps_canonical_reference(wrapped)
+
+    def test_empty_containers_and_scalars(self):
+        for doc in ({}, [], (), "", 0, -0.0, True, False, None, {"": [(), {}]}):
+            assert dumps_canonical(doc) == dumps_canonical_reference(doc)
+
+    @pytest.mark.parametrize("bad", [
+        {1: 2},
+        {"a": {(1, 2): "x"}},
+        float("nan"),
+        float("inf"),
+        -float("inf"),
+        [1.0, {"x": np.float64("nan")}],
+        {1, 2},
+        b"bytes",
+        [{"nested": bytearray(b"x")}],
+    ], ids=["int_key", "tuple_key", "nan", "inf", "minus_inf", "numpy_nan",
+            "set", "bytes", "nested_bytearray"])
+    def test_same_exception(self, bad):
+        with pytest.raises(Exception) as reference:
+            dumps_canonical_reference(bad)
+        with pytest.raises(Exception) as written:
+            dumps_canonical(bad)
+        assert type(written.value) is type(reference.value)
+        assert str(written.value) == str(reference.value)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from cbdsys import (
     Bunch,
+    CbdError,
     ContentNotInContextError,
     Context,
     System,
@@ -18,9 +20,11 @@ from cbdsys import (
     consistency,
     expectation,
     marginal,
+    parse_system,
     product_expectation,
     validate_system,
 )
+from golden_cases import INPUT_DIR
 from helpers import (
     connections_by_scan,
     marginalize_joint,
@@ -291,3 +295,82 @@ class TestConsistency:
 
         system = build_double_slit(DoubleSlitParams(0.1, 0.1, 0.08, 0.08, 0.05))
         assert consistency(system).max_marginal_gap == pytest.approx(0.03, abs=1e-12)
+
+
+def _rebuilt(system: System) -> System:
+    """A new System over the same contents and bunches, with no system views
+    yet.  (Building new bunches would clean their probabilities again.)"""
+    return System(system.contents, system.bunches)
+
+
+def _golden_systems() -> list[System]:
+    systems = []
+    for path in sorted(INPUT_DIR.iterdir()):
+        try:
+            systems.append(parse_system(path))
+        except CbdError:
+            continue  # the malformed and invalid inputs
+    return systems
+
+
+def _views(system: System):
+    return (
+        [[p.hex() for p in b.plus_probs] for b in system.bunches],
+        connection_bits(system.connections),
+        system.cyclic_layout,
+    )
+
+
+class TestKeptViews:
+    """A System's derived views, worked out on first use and kept."""
+
+    def test_plus_probs_equal_marginal_bit_for_bit(self, rng):
+        systems = [random_small_system(rng, 12) for _ in range(300)] + _golden_systems()
+        assert len(systems) > 300 + 10
+        for system in systems:
+            for b in system.bunches:
+                assert [p.hex() for p in b.plus_probs] == [
+                    marginal(b, q).hex() for q in b.contents
+                ]
+
+    def test_layout_equals_the_one_found_on_a_rebuilt_copy(self, rng):
+        systems = [random_small_system(rng, 12) for _ in range(200)] + _golden_systems()
+        systems += [random_cycle(rng, n, consistent=bool(n % 2)) for n in range(2, 12)]
+        cyclic = 0
+        for system in systems:
+            layout = system.cyclic_layout
+            copy = _rebuilt(system)
+            assert copy == system and copy is not system
+            assert copy.cyclic_layout == layout
+            cyclic += layout is not None
+        assert cyclic >= 10
+
+    def test_views_are_computed_once_and_shared(self, rng):
+        system = random_cycle(rng, 5, consistent=False)
+        assert connections(system) is system.connections is connections(system)
+        assert system.cyclic_layout is system.cyclic_layout
+        assert all(b.plus_probs is b.plus_probs for b in system.bunches)
+
+    def test_four_threads_read_equal_views(self, rng):
+        # A long cycle, so the first reads overlap while the views are built.
+        for _ in range(5):
+            system = random_cycle(rng, 400, consistent=False)
+            barrier = threading.Barrier(4)
+            seen = [None] * 4
+
+            def read(i):
+                barrier.wait()
+                seen[i] = _views(system)
+
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            want = (
+                [[marginal(b, q).hex() for q in b.contents] for b in system.bunches],
+                connection_bits(connections_by_scan(system)),
+                _rebuilt(system).cyclic_layout,
+            )
+            assert want[2] is not None
+            assert all(views == want for views in seen)
