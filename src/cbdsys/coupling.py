@@ -113,7 +113,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConnectionSizeError, SolverError, SystemSizeError
-from .system import EPS_FEAS, Bunch, System
+from .system import EPS_FEAS, System
 
 # The data model defines these, so the closed forms need not load this
 # module; they stay importable from here.
@@ -141,44 +141,41 @@ class _Shape:
     right-hand side and variable names, plus the CNT1 LP handed to HiGHS.
 
     ``bunch_positions`` and ``pair_positions`` are the variable positions it
-    was built for.  ``entries`` holds the problem matrix's nonzeros as (rows,
-    columns, values); ``pair_rows`` are its connection-pair rows.  The CNT1
-    LP keeps every other row as a hard equality, in the same order, and
-    minimizes ``lp_cost``, which is minus the sum of the pair rows, over
-    columns bounded by ``lp_lower`` and ``lp_upper``.  Its constraint matrix
-    is stored column-wise as (lp_start, lp_index, lp_value), in tuples
-    because HiGHS's bindings read those fastest; only the row bounds vary
-    per call, and each thread converts the rest once per shape
-    (:func:`_cnt1_lp`).  ``uniform_rhs`` is its right-hand side when every
-    bunch is uniform (1/2**k per entry of a k-content bunch), mass 1 and
-    separators 0, and ``start_basis``, an optimal basis at that right-hand
-    side, starts every solve of this shape.
+    was built for.  Its clique tables are laid end to end: ``offsets`` holds
+    where each starts in the columns (and where the last ends).
 
-    The witness is glued in plain floats with ``offsets``, where each clique
-    table starts in the columns (and where the last ends), and ``glue``, per
-    tree edge the offset of the parent's table, the separator entry that
-    each of its entries falls in, the same for the child's table, and the
-    separator's entry count.  It is checked with ``elastic_entries``, the
-    rows and columns of the elastic rows' nonzeros, which are all 1.
+    The problem's first ``elastic_rows`` rows are its bunch, pair and mass
+    rows; ``elastic_entries`` holds their nonzeros' rows and columns, which
+    are all 1, and ``pair_rows`` is the pair rows' slice.  ``glue`` holds,
+    per tree edge, the offset of the parent's table, the separator entry
+    that each of its entries falls in, the same for the child's table, and
+    the separator's entry count: the separator rows that follow, +1 on the
+    parent's entries and -1 on the child's.  The witness is glued along it.
+
+    The CNT1 LP keeps every row but the pair rows as a hard equality, in the
+    same order, and minimizes ``lp_cost``, minus the sum of the pair rows,
+    over nonnegative columns.  Its constraint matrix is stored column-wise
+    as (lp_start, lp_index, lp_value), in tuples because HiGHS's bindings
+    read those fastest; only the row bounds vary per call, and each thread
+    converts the rest once per shape (:func:`_cnt1_lp`).  ``uniform_rhs`` is
+    its right-hand side when every bunch is uniform (1/2**k per entry of a
+    k-content bunch), mass 1 and separators 0, and ``start_basis``, an
+    optimal basis at that right-hand side, starts every solve of this shape.
     """
 
     bunch_positions: tuple[tuple[int, ...], ...]
     pair_positions: tuple[tuple[int, int], ...]
     cliques: tuple[tuple[int, ...], ...]
     tree: tuple[tuple[int, int], ...]
+    offsets: tuple[int, ...]
     elastic_rows: int
     pair_rows: slice
-    separator_labels: tuple[str, ...]
-    entries: tuple[np.ndarray, np.ndarray, np.ndarray]
-    offsets: tuple[int, ...]
-    glue: tuple[tuple[int, tuple[int, ...], int, tuple[int, ...], int], ...]
     elastic_entries: tuple[np.ndarray, np.ndarray]
+    glue: tuple[tuple[int, tuple[int, ...], int, tuple[int, ...], int], ...]
     lp_start: tuple[int, ...]
     lp_index: tuple[int, ...]
     lp_value: tuple[float, ...]
     lp_cost: tuple[float, ...]
-    lp_lower: tuple[float, ...]
-    lp_upper: tuple[float, ...]
     uniform_rhs: tuple[float, ...]
 
     @cached_property
@@ -200,11 +197,16 @@ class _Shape:
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense problem matrix, built on first use and read-only."""
-        rows, cols, values = self.entries
+        rows, cols = self.elastic_entries
         matrix = np.zeros(
-            (self.elastic_rows + len(self.separator_labels), len(self.lp_cost))
+            (self.elastic_rows + sum(edge[-1] for edge in self.glue), self.offsets[-1])
         )
-        matrix[rows, cols] = values
+        matrix[rows, cols] = 1.0
+        row = self.elastic_rows
+        for parent_at, parent_entry, child_at, child_entry, width in self.glue:
+            for at, entry, sign in ((parent_at, parent_entry, 1.0), (child_at, child_entry, -1.0)):
+                matrix[row + np.array(entry), at + np.arange(len(entry))] = sign
+            row += width
         matrix.flags.writeable = False
         return matrix
 
@@ -226,11 +228,12 @@ class FeasibilityProblem:
     connection, and total mass one.  The remaining rows (right-hand side 0)
     make each tree edge's two cliques agree on their separator.
 
-    ``cliques``, ``tree``, ``matrix`` and ``elastic_rows`` belong to the
-    system's shape and are shared by every system of that shape (``matrix``
-    is built on first use and is read-only); ``variables`` and ``rhs`` are
-    this system's own.  ``row_labels`` names every row from the variable
-    names, and is formatted only when first read.
+    ``shape`` holds everything that depends only on where each bunch and
+    connection pair sits, and is shared by every system of that shape:
+    ``cliques``, ``tree``, ``elastic_rows`` and ``matrix``, which is built
+    on first read and is read-only.  ``variables`` and ``rhs`` are this
+    system's own.  ``row_labels`` names every row from the variable names
+    and the shape's tree, and is formatted only when first read.
     """
 
     variables: tuple[tuple[str, str], ...]
@@ -241,18 +244,23 @@ class FeasibilityProblem:
     def row_labels(self) -> tuple[str, ...]:
         """``bunch[<context>][<entry>]``, ``equal[<content>:<context>=<context>]``,
         ``mass`` and ``separator[<parent>-<child>][<entry>]``, row by row."""
-        names = self.variables
+        names, shape = self.variables, self.shape
         labels = [
             f"bunch[{names[positions[0]][1]}][{a}]"
-            for positions in self.shape.bunch_positions
+            for positions in shape.bunch_positions
             for a in range(1 << len(positions))
         ]
         labels += [
             f"equal[{names[u][0]}:{names[u][1]}={names[v][1]}]"
-            for u, v in self.shape.pair_positions
+            for u, v in shape.pair_positions
         ]
         labels.append("mass")
-        return tuple(labels) + self.shape.separator_labels
+        labels += [
+            f"separator[{parent}-{child}][{s}]"
+            for (parent, child), edge in zip(shape.tree, shape.glue)
+            for s in range(edge[-1])
+        ]
+        return tuple(labels)
 
     @property
     def num_variables(self) -> int:
@@ -362,37 +370,35 @@ def _marginals(system: System, constraint: CouplingConstraint) -> _Marginals:
     """Requires connections of at most two members each and at most M_MAX
     variables in all (a System is valid by construction).
 
-    One pass over the bunches lists each content's holders with the
-    variable positions, and only the members of two-member connections have
-    their marginals read, from each bunch's kept ``plus_probs``.
+    One pass over the bunches numbers the variables, and the pair targets
+    read each member's Pr[+1] off the system's kept connections.
     """
-    holders: dict[str, list[tuple[Bunch, int, int]]] = {c.id: [] for c in system.contents}
-    variables = []
+    position: dict[tuple[str, str], int] = {}
     bunches = []
     for b in system.bunches:
-        start = len(variables)
-        for j, q in enumerate(b.contents):
-            holders[q].append((b, j, len(variables)))
-            variables.append((q, b.context))
-        bunches.append((tuple(range(start, len(variables))), b.probs))
-    for q, held in holders.items():
-        if len(held) > 2:
+        start = len(position)
+        for q in b.contents:
+            position[q, b.context] = len(position)
+        bunches.append((tuple(range(start, len(position))), b.probs))
+    for conn in system.connections:
+        if len(conn.members) > 2:
             raise ConnectionSizeError(
-                f"content {q!r} appears in {len(held)} contexts;"
+                f"content {conn.content!r} appears in {len(conn.members)} contexts;"
                 " pairwise coupling constraints support at most 2"
             )
-    m = len(variables)
+    m = len(position)
     if m > M_MAX:
         raise SystemSizeError(
             f"coupling over {m} variables needs a 2^{m}-entry witness;"
             f" limit is 2^{M_MAX}"
         )
     pairs = []
-    for held in holders.values():
-        if len(held) == 2:
-            (a, i, u), (b, j, v) = held
-            pairs.append((u, v, constraint.target(a.plus_probs[i], b.plus_probs[j])))
-    return _Marginals(tuple(variables), tuple(bunches), tuple(pairs))
+    for conn in system.connections:
+        if len(conn.members) == 2:
+            (first, a), (second, b) = conn.members
+            q = conn.content
+            pairs.append((position[q, first], position[q, second], constraint.target(a, b)))
+    return _Marginals(tuple(position), tuple(bunches), tuple(pairs))
 
 
 def _gather_bits(index: np.ndarray, bits) -> np.ndarray:
@@ -458,20 +464,15 @@ def _clique_tree(cliques: list[tuple[int, ...]]) -> list[tuple[int, int]]:
     return edges
 
 
-def _separator(cliques, edge: tuple[int, int]) -> tuple[int, ...]:
-    parent, child = edge
-    return tuple(sorted(set(cliques[parent]) & set(cliques[child])))
-
-
 @lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def _shape(
     m: int,
     bunch_positions: tuple[tuple[int, ...], ...],
     pair_positions: tuple[tuple[int, int], ...],
 ) -> _Shape:
-    """Triangulate, build the clique tree and assemble the LP's nonzeros,
-    column by clique-table entry, for bunches and connection pairs at the
-    given variable positions."""
+    """Triangulate, build the clique tree and assemble the CNT1 LP's
+    nonzeros, column by clique-table entry, for bunches and connection pairs
+    at the given variable positions."""
     edges = [
         edge for positions in bunch_positions for edge in combinations(positions, 2)
     ]
@@ -479,7 +480,7 @@ def _shape(
     cliques = _triangulate(m, edges)
     tree = _clique_tree(cliques)
     offsets = np.cumsum([0] + [1 << len(c) for c in cliques])
-    triples: list[tuple[np.ndarray, np.ndarray, float]] = []
+    n = int(offsets[-1])
 
     def marginal(i: int, positions) -> tuple[np.ndarray, np.ndarray]:
         """For each column of clique i's table, the entry of its marginal
@@ -494,25 +495,30 @@ def _shape(
     def holder(positions) -> int:
         return next(i for i, c in enumerate(cliques) if set(positions) <= set(c))
 
+    # The CNT1 LP's nonzeros as (rows, columns, value): the bunch rows, the
+    # mass row, then the separator rows.
+    triples: list[tuple[np.ndarray, np.ndarray, float]] = []
     row = 0
     for positions in bunch_positions:
         entry, col = marginal(holder(positions), positions)
         triples.append((row + entry, col, 1.0))
         row += 1 << len(positions)
-    pair_rows = slice(row, row + len(pair_positions))
+    equal = []
     for u, v in pair_positions:
         entry, col = marginal(holder((u, v)), (u, v))
-        equal = col[(entry == 0) | (entry == 3)]  # both -1 or both +1
-        triples.append((np.full(equal.size, row), equal, 1.0))
-        row += 1
+        equal.append(col[(entry == 0) | (entry == 3)])  # both -1 or both +1
+    pair_rows = slice(row, row + len(pair_positions))
     entry, col = marginal(0, ())
     triples.append((row + entry, col, 1.0))
-    elastic_rows = row = row + 1
+    # The problem numbers its pair rows between the bunch and mass rows.
+    elastic = [(r, c) for r, c, _ in triples[:-1]]
+    elastic += [(np.full(c.size, r), c) for r, c in enumerate(equal, row)]
+    elastic.append((pair_rows.stop + entry, col))
+    row += 1
 
-    separator_labels: list[str] = []
     glue = []
     for parent, child in tree:
-        sep = _separator(cliques, (parent, child))
+        sep = tuple(sorted(set(cliques[parent]) & set(cliques[child])))
         edge = []
         for i, sign in ((parent, 1.0), (child, -1.0)):
             entry, col = marginal(i, sep)
@@ -520,52 +526,43 @@ def _shape(
             edge += (int(offsets[i]), tuple(entry.tolist()))
         glue.append((*edge, 1 << len(sep)))
         row += 1 << len(sep)
-        separator_labels.extend(
-            f"separator[{parent}-{child}][{s}]" for s in range(1 << len(sep))
-        )
     rows = np.concatenate([r for r, _, _ in triples])
     cols = np.concatenate([c for _, c, _ in triples])
     values = np.concatenate([np.full(c.size, v) for _, c, v in triples])
-
-    # The CNT1 LP: the pair rows become the cost, and the rows after them
-    # move up to close the gap.
-    n = int(offsets[-1])
-    is_pair = (rows >= pair_rows.start) & (rows < pair_rows.stop)
-    cost = -np.bincount(cols[is_pair], minlength=n).astype(np.float64)
-    keep = ~is_pair
-    lp_rows = np.where(rows < pair_rows.start, rows, rows - len(pair_positions))[keep]
-    order = np.lexsort((lp_rows, cols[keep]))
-    lp_cols = cols[keep][order]
-    elastic = rows < elastic_rows
+    order = np.lexsort((rows, cols))
+    cost = -np.bincount(np.concatenate([np.zeros(0, np.int64), *equal]), minlength=n).astype(np.float64)
     return _Shape(
         bunch_positions=bunch_positions,
         pair_positions=pair_positions,
         cliques=tuple(cliques),
         tree=tuple(tree),
-        elastic_rows=elastic_rows,
-        pair_rows=pair_rows,
-        separator_labels=tuple(separator_labels),
-        entries=(rows, cols, values),
         offsets=tuple(offsets.tolist()),
+        elastic_rows=pair_rows.stop + 1,
+        pair_rows=pair_rows,
+        elastic_entries=tuple(np.concatenate(part) for part in zip(*elastic)),
         glue=tuple(glue),
-        elastic_entries=(rows[elastic], cols[elastic]),
-        lp_start=tuple(np.searchsorted(lp_cols, np.arange(n + 1)).tolist()),
-        lp_index=tuple(lp_rows[order].tolist()),
-        lp_value=tuple(values[keep][order].tolist()),
+        lp_start=tuple(np.searchsorted(cols[order], np.arange(n + 1)).tolist()),
+        lp_index=tuple(rows[order].tolist()),
+        lp_value=tuple(values[order].tolist()),
         lp_cost=tuple(cost.tolist()),
-        lp_lower=(0.0,) * n,
-        lp_upper=(math.inf,) * n,
         uniform_rhs=tuple(
             0.5 ** len(positions)
             for positions in bunch_positions
             for _ in range(1 << len(positions))
-        ) + (1.0,) + (0.0,) * len(separator_labels),
+        ) + (1.0,) + (0.0,) * (row - pair_rows.start - 1),
     )
 
 
-def _clique_problem(marg: _Marginals) -> FeasibilityProblem:
-    """The clique-tree LP for the given marginal constraints: the cached
-    shape with this system's right-hand side."""
+def build_feasibility_problem(
+    system: System, constraint: CouplingConstraint
+) -> FeasibilityProblem:
+    """Assemble the clique-tree LP deciding C-coupling existence: the cached
+    shape with this system's right-hand side.
+
+    Requires connections of at most two members each and at most M_MAX
+    variables in all (a System is valid by construction).
+    """
+    marg = _marginals(system, constraint)
     shape = _shape(
         len(marg.variables),
         tuple(positions for positions, _ in marg.bunches),
@@ -573,20 +570,8 @@ def _clique_problem(marg: _Marginals) -> FeasibilityProblem:
     )
     rhs = [p for _, probs in marg.bunches for p in probs]
     rhs += [target for _, _, target in marg.pairs]
-    rhs.append(1.0)
-    rhs += [0.0] * len(shape.separator_labels)
+    rhs += shape.uniform_rhs[shape.pair_rows.start:]  # mass 1, separators 0
     return FeasibilityProblem(marg.variables, shape, np.array(rhs, dtype=np.float64))
-
-
-def build_feasibility_problem(
-    system: System, constraint: CouplingConstraint
-) -> FeasibilityProblem:
-    """Assemble the clique-tree LP deciding C-coupling existence.
-
-    Requires connections of at most two members each and at most M_MAX
-    variables in all (a System is valid by construction).
-    """
-    return _clique_problem(_marginals(system, constraint))
 
 
 @dataclass(frozen=True)
@@ -705,8 +690,8 @@ def _cnt1_lp(shape: _Shape, b):
         lp.a_matrix_.index_ = shape.lp_index
         lp.a_matrix_.value_ = shape.lp_value
         lp.col_cost_ = shape.lp_cost
-        lp.col_lower_ = shape.lp_lower
-        lp.col_upper_ = shape.lp_upper
+        lp.col_lower_ = (0.0,) * n
+        lp.col_upper_ = (math.inf,) * n
         lps[shape] = lp
     lp.row_lower_ = lp.row_upper_ = b
     return lp
@@ -837,8 +822,7 @@ def decide(system: System, constraint: CouplingConstraint) -> FeasibilityVerdict
     feasible iff it is at most EPS_FEAS, and feasible verdicts with a
     degree above TIGHT_TOL are flagged ``boundary``.
     """
-    marg = _marginals(system, constraint)
-    problem = _clique_problem(marg)
+    problem = build_feasibility_problem(system, constraint)
     solve = _solve_cnt1(problem)
     feasible = solve.degree <= EPS_FEAS
     if log.isEnabledFor(logging.DEBUG):
@@ -846,8 +830,7 @@ def decide(system: System, constraint: CouplingConstraint) -> FeasibilityVerdict
             "decide: m=%d, %d cliques, CNT1 LP %d x %d, %s after %d simplex"
             " iterations, degree %.3g -> %s",
             problem.num_variables, len(problem.cliques),
-            len(problem.rhs) - len(marg.pairs),
-            len(problem.shape.lp_cost), solve.status, solve.iterations,
+            len(problem.shape.uniform_rhs), len(problem.shape.lp_cost), solve.status, solve.iterations,
             solve.degree, "feasible" if feasible else "infeasible",
         )
     if not feasible:

@@ -410,13 +410,9 @@ def _find_cycle(system: System) -> CyclicLayout | None:
     """:attr:`System.cyclic_layout`, found by one walk around the cycle."""
     if any(len(b.contents) != 2 for b in system.bunches):
         return None
-
-    holders: dict[str, list[str]] = {c.id: [] for c in system.contents}
-    for b in system.bunches:
-        for q in b.contents:
-            holders[q].append(b.context)
-    if any(len(ctxs) != 2 for ctxs in holders.values()):
+    if any(len(conn.members) != 2 for conn in system.connections):
         return None
+    holders = {conn.content: [ctx for ctx, _ in conn.members] for conn in system.connections}
 
     # Every context holds two contents and every content sits in two
     # contexts, so there are as many contexts as contents.

@@ -367,8 +367,8 @@ def _cnt1_model(shape, b):
     lp.a_matrix_.index_ = shape.lp_index
     lp.a_matrix_.value_ = shape.lp_value
     lp.col_cost_ = shape.lp_cost
-    lp.col_lower_ = shape.lp_lower
-    lp.col_upper_ = shape.lp_upper
+    lp.col_lower_ = (0.0,) * n
+    lp.col_upper_ = (math.inf,) * n
     lp.row_lower_ = lp.row_upper_ = b
     return lp
 
