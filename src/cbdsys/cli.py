@@ -33,6 +33,7 @@ engine module or bindings that are missing or fail to load exit 2 with an
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import logging
 import os
@@ -42,7 +43,7 @@ from typing import TYPE_CHECKING, NoReturn
 import click
 
 from . import __version__
-from .cyclic import cbd_cyclic2, cyclic_criterion, detect_cyclic, qq_statistic
+from .cyclic import cyclic_criterion, detect_cyclic, qq_statistic
 from .errors import (
     CbdError,
     ParameterError,
@@ -240,13 +241,7 @@ def double_slit(p, q, pp, qp, rp, sweep, seed, output, witness):
     verdict = decide(system, CouplingConstraint.MAX_EQUALITY)
     report = {
         "command": "double-slit",
-        "params": {
-            "p": params.p,
-            "q": params.q,
-            "p_prime": params.p_prime,
-            "q_prime": params.q_prime,
-            "r_prime": params.r_prime,
-        },
+        "params": dataclasses.asdict(params),
         "system": system_summary(system),
         "results": [
             criterion_entry("cyclic4", closed),
@@ -300,12 +295,13 @@ def qq(input_stream, output: str):
     if layout is None or layout.rank != 2:
         raise RankError("qq needs a cyclic system of rank 2")
     statistic = qq_statistic(system, layout)
+    closed = cyclic_criterion(system, layout, CouplingConstraint.MAX_EQUALITY)
     report = {
         "command": "qq",
         "system": system_summary(system),
         "qq_statistic": statistic,
         "qq_equality_holds": abs(statistic) <= EPS_PROB,
-        "results": [criterion_entry("cyclic2", cbd_cyclic2(system, layout))],
+        "results": [criterion_entry("cyclic2", closed)],
     }
     _finish(report, output)
 

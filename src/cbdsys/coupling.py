@@ -61,36 +61,31 @@ shape's start basis: an optimal basis of its CNT1 LP with every bunch
 uniform, found by one solve on first use.  Since only the right-hand side
 varies within a shape, that basis is dual feasible for every system of the
 shape, and dual simplex started from it only repairs primal
-infeasibilities.  On 400 rank-2 and rank-4 systems a solve takes 5.5
-simplex iterations instead of 33 from the slack basis, and a HiGHS run 60
-instead of 129 us (2-core VM).  A decide whose shape is not cached pays the
-start-basis solve as well, so a run of one-off shapes is about a fifth
-slower than from the slack basis.
+infeasibilities.  A decide whose shape is not cached pays the start-basis
+solve as well as its own, so a run of one-off shapes is slower than it
+would be from the slack basis.
 
 A :func:`decide` on a cached shape pays only for what depends on the
-system: one pass over the bunches for the positions and pair targets
-(marginals only for two-member connections), the right-hand side, the
+system: one pass over the bunches for the variable positions, the pair
+targets read off the system's kept connections, the right-hand side, the
 row bounds of the shape's HighsLp, which each thread keeps, then
 ``passModel``, ``setBasis``, ``run`` and the witness.  It formats no row
 name: :attr:`FeasibilityProblem.row_labels` is built when first read.  The
 witness glue runs in plain floats along a per-shape plan, in the order
-numpy would add, so its tables are the same to the bit.  On 400 rank-2 and
-rank-4 systems a decide takes about 105 us, of which the HiGHS run is 58
-(2-core VM).  Hand HiGHS the model as a HighsLp only: passModel's overloads
-that take numpy arrays returned "Optimal" after 0 iterations with a primal
-residual of 0.6 on a 16-variable cycle of the benchmark's ``large-m``.
+numpy would add, so its tables are the same to the bit.  Hand HiGHS the
+model as a HighsLp only: passModel's overloads that take numpy arrays
+returned "Optimal" after 0 iterations with a primal residual of 0.6 on a
+16-variable cycle of the benchmark's ``large-m``.
 
 Nothing loads this module, or numpy, until a program first needs the LP:
 ``import cbdsys`` serves this module's names on first access, and the CLI
-imports it on its first :func:`decide`.  CouplingConstraint and
-max_equality_probability, which the closed forms share, live in
-:mod:`cbdsys.system` and are re-exported here.  numpy's import takes about
-40 ms on a 2-core VM, so a CLI run that needs no LP takes about 58 ms
-instead of 100 ms.  The HiGHS bindings load on the first LP solve, and
+imports it on its first :func:`decide`, so a CLI run that needs no LP never
+pays numpy's import.  CouplingConstraint and max_equality_probability,
+which the closed forms share, live in :mod:`cbdsys.system` and are
+re-exported here.  The HiGHS bindings load on the first LP solve, and
 alone: :func:`_highspy` loads that one extension module out of scipy's
-package directory (about 4 ms there) and never imports ``scipy`` or
-``scipy.optimize``, whose import takes about 0.25 s.  A CLI run that solves
-an LP takes about 0.11 s instead of 0.40 s.
+package directory and never imports ``scipy`` or ``scipy.optimize``, whose
+import takes several times as long as the rest of a CLI run.
 Each :func:`decide` logs one debug record (variable count, cliques, CNT1 LP
 rows x columns, HiGHS model status, simplex iteration count, degree,
 verdict) on this module's logger.

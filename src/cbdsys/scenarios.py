@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .cyclic import CriterionResult
 from .errors import MomentError, ParameterError
-from .system import EPS_PROB, Bunch, Content, System, build_system
+from .system import EPS_PROB, Bunch, Content, System, build_system, bunch_violations
 
 if TYPE_CHECKING:
     import numpy as np
@@ -171,13 +171,7 @@ class QuestionOrderParams:
         if self.joint_ab.context == self.joint_ba.context:
             raise ParameterError("the two asking orders need distinct context ids")
         for bunch in (self.joint_ab, self.joint_ba):
-            # The range check comes first: NaN fails it, but would make the
-            # sum NaN and pass the sum check, and huge entries overflow fsum.
-            if not (
-                len(bunch.probs) == 4
-                and all(0.0 <= v <= 1.0 + EPS_PROB for v in bunch.probs)
-                and abs(math.fsum(bunch.probs) - 1.0) <= EPS_PROB
-            ):
+            if bunch_violations(bunch):
                 raise ParameterError(
                     f"bunch for context {bunch.context!r} is not a distribution"
                 )

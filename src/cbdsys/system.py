@@ -77,10 +77,12 @@ class _kept:
 
 def _clean_probs(probs: Iterable[float]) -> tuple[float, ...]:
     """Absorb float dust on load: clamp entries in [-EPS_PROB, 0) to zero and
-    renormalize when the total is within EPS_PROB of one.  Larger defects and
-    entries outside [0, 1 + EPS_PROB] (NaN, infinities, huge values that
-    would overflow the sum) are left untouched for validate_system to
-    report."""
+    renormalize when the total is off one by more than 2**-51 (two ulps
+    above one) and at most EPS_PROB.  Dividing by the total often leaves it
+    an ulp off again, so renormalizing closer totals would move the last
+    bits on every load, and a file would not round-trip byte for byte.  Larger defects and entries
+    outside [0, 1 + EPS_PROB] (NaN, infinities, huge values that would
+    overflow the sum) are left untouched for validate_system to report."""
     vals = []
     for v in probs:
         v = float(v) + 0.0  # also folds -0.0 to 0.0
@@ -90,7 +92,7 @@ def _clean_probs(probs: Iterable[float]) -> tuple[float, ...]:
     if not all(0.0 <= v <= 1.0 + EPS_PROB for v in vals):
         return tuple(vals)
     total = math.fsum(vals)
-    if total > 0.0 and total != 1.0 and abs(total - 1.0) <= EPS_PROB:
+    if 2.0 ** -51 < abs(total - 1.0) <= EPS_PROB:
         vals = [v / total for v in vals]
     return tuple(vals)
 
@@ -186,9 +188,6 @@ class System:
             if b.context == context_id:
                 return b
         raise KeyError(context_id)
-
-    def content_ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.contents)
 
 
 @dataclass(frozen=True)
@@ -312,32 +311,38 @@ def validate_system(system: System) -> list[str]:
                 )
 
     for bunch in system.bunches:
-        where = f"bunch for context {bunch.context!r}"
-        expected = 1 << len(bunch.contents)
-        if len(bunch.probs) != expected:
-            violations.append(
-                f"{where} has {len(bunch.probs)} entries, expected {expected}"
-            )
-            continue
-        # Entry checks come before the sum check.  NaN passes every range
-        # comparison and makes the sum NaN, and huge finite entries overflow
-        # fsum, so an entry defect is reported on its own and leaves the sum
-        # unchecked.
-        entry_defects = len(violations)
-        for i, v in enumerate(bunch.probs):
-            if not math.isfinite(v):
-                violations.append(f"{where} entry {i} is not a finite number ({v!r})")
-            elif v < -EPS_PROB:
-                violations.append(f"{where} entry {i} is negative ({v!r})")
-            elif v > 1.0 + EPS_PROB:
-                violations.append(f"{where} entry {i} exceeds 1 ({v!r})")
-        if len(violations) > entry_defects:
-            continue
-        total = math.fsum(bunch.probs)
-        if abs(total - 1.0) > EPS_PROB:
-            violations.append(f"{where} sums to {total!r}, not 1")
+        violations += bunch_violations(bunch)
 
     return violations
+
+
+def bunch_violations(bunch: Bunch) -> list[str]:
+    """Every way ``bunch`` fails to be a distribution (empty list = it is
+    one): a vector of other than 2**k entries for k contents, an entry that
+    is not finite, is negative or exceeds 1, or a sum off one by more than
+    EPS_PROB."""
+    where = f"bunch for context {bunch.context!r}"
+    expected = 1 << len(bunch.contents)
+    if len(bunch.probs) != expected:
+        return [f"{where} has {len(bunch.probs)} entries, expected {expected}"]
+    # Entry checks come before the sum check.  NaN passes every range
+    # comparison and makes the sum NaN, and huge finite entries overflow
+    # fsum, so an entry defect is reported on its own and leaves the sum
+    # unchecked.
+    violations = []
+    for i, v in enumerate(bunch.probs):
+        if not math.isfinite(v):
+            violations.append(f"{where} entry {i} is not a finite number ({v!r})")
+        elif v < -EPS_PROB:
+            violations.append(f"{where} entry {i} is negative ({v!r})")
+        elif v > 1.0 + EPS_PROB:
+            violations.append(f"{where} entry {i} exceeds 1 ({v!r})")
+    if violations:
+        return violations
+    total = math.fsum(bunch.probs)
+    if abs(total - 1.0) > EPS_PROB:
+        return [f"{where} sums to {total!r}, not 1"]
+    return []
 
 
 def require_valid(system: System) -> None:

@@ -1,5 +1,6 @@
 """One untimed round of each benchmark workload: three in process, and
-cli-oneshot in its child processes.
+cli-oneshot in its child processes; and one traced round of the three in
+process.
 
 The benchmark under ``bench/`` checks every output it times against its own
 reference; a round here runs those same checks, so a change that would make
@@ -34,6 +35,22 @@ def test_one_round_has_no_failure(workloads, name):
     assert len(done.times) == len(workload.ops) > 0
     assert done.failed == 0
     assert done.problems == []
+
+
+@pytest.mark.parametrize(
+    "name,solves_lp", [("CyclicLP", True), ("LargeM", True), ("FilesClosedForm", False)]
+)
+def test_one_traced_round_has_no_failure(workloads, name, solves_lp):
+    # A traced round makes the extra calls behind the per-layer metrics;
+    # Spans.lp_size reads each LP's dense problem matrix.
+    workload = getattr(workloads, name)(1)
+    spans = workloads.Spans()
+    done = workload.round(spans, True)
+    assert len(done.times) == len(workload.ops) > 0
+    assert done.failed == 0
+    assert done.problems == []
+    if solves_lp:
+        assert all(spans.maxima[key] > 0 for key in ("lp_rows", "lp_cols", "lp_nnz"))
 
 
 def test_one_cli_round_has_no_failure(workloads, tmp_path):

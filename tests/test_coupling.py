@@ -57,6 +57,7 @@ from helpers import (
     separator_entries,
     solve_cnt1_cold,
     solve_cnt1_fresh,
+    uniform_cnt1_rhs,
 )
 
 EA = CouplingConstraint.EQUAL_ALWAYS
@@ -761,6 +762,24 @@ class TestCliqueProblem:
             cols = sum(1 << len(c) for c in problem.cliques)
             assert problem.matrix.shape[1] == cols <= 1 << m
             assert len(problem.rhs) == len(problem.row_labels) == problem.matrix.shape[0]
+
+    @pytest.mark.parametrize("constraint", [ME, EA], ids=["ME", "EA"])
+    def test_cnt1_arrays_are_the_matrix_without_its_pair_rows(self, constraint, rng):
+        # A shape builds its CNT1 arrays and its dense matrix apart: the
+        # CNT1 LP is the problem with its pair rows deleted, and minus their
+        # sum as its cost.
+        for _ in range(100):
+            problem = build_feasibility_problem(random_small_system(rng, 12), constraint)
+            shape = problem.shape
+            pairs = range(problem.matrix.shape[0])[shape.pair_rows]
+            cnt1 = np.zeros((len(shape.uniform_rhs), len(shape.lp_cost)))
+            for col in range(len(shape.lp_cost)):
+                span = slice(shape.lp_start[col], shape.lp_start[col + 1])
+                np.add.at(cnt1, (list(shape.lp_index[span]), col), shape.lp_value[span])
+            assert shape.lp_start[-1] == len(shape.lp_index) == len(shape.lp_value)
+            assert np.array_equal(cnt1, np.delete(problem.matrix, pairs, axis=0))
+            assert list(shape.lp_cost) == list(-problem.matrix[shape.pair_rows].sum(axis=0))
+            assert list(shape.uniform_rhs) == uniform_cnt1_rhs(problem)
 
     def test_cliques_form_a_clique_tree(self, rng):
         # Every context and connection pair sits inside one clique, and the
