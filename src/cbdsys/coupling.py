@@ -370,29 +370,28 @@ def _marginals(system: System, constraint: CouplingConstraint) -> _Marginals:
     """
     position: dict[tuple[str, str], int] = {}
     bunches = []
-    for b in system.bunches:
+    for bunch in system.bunches:
         start = len(position)
-        for q in b.contents:
-            position[q, b.context] = len(position)
-        bunches.append((tuple(range(start, len(position))), b.probs))
+        for q in bunch.contents:
+            position[q, bunch.context] = len(position)
+        bunches.append((tuple(range(start, len(position))), bunch.probs))
+    pairs = []
     for conn in system.connections:
         if len(conn.members) > 2:
             raise ConnectionSizeError(
                 f"content {conn.content!r} appears in {len(conn.members)} contexts;"
                 " pairwise coupling constraints support at most 2"
             )
+        if len(conn.members) == 2:
+            (first, a), (second, b) = conn.members
+            q = conn.content
+            pairs.append((position[q, first], position[q, second], constraint.target(a, b)))
     m = len(position)
     if m > M_MAX:
         raise SystemSizeError(
             f"coupling over {m} variables needs a 2^{m}-entry witness;"
             f" limit is 2^{M_MAX}"
         )
-    pairs = []
-    for conn in system.connections:
-        if len(conn.members) == 2:
-            (first, a), (second, b) = conn.members
-            q = conn.content
-            pairs.append((position[q, first], position[q, second], constraint.target(a, b)))
     return _Marginals(tuple(position), tuple(bunches), tuple(pairs))
 
 

@@ -80,9 +80,10 @@ def _clean_probs(probs: Iterable[float]) -> tuple[float, ...]:
     renormalize when the total is off one by more than 2**-51 (two ulps
     above one) and at most EPS_PROB.  Dividing by the total often leaves it
     an ulp off again, so renormalizing closer totals would move the last
-    bits on every load, and a file would not round-trip byte for byte.  Larger defects and entries
-    outside [0, 1 + EPS_PROB] (NaN, infinities, huge values that would
-    overflow the sum) are left untouched for validate_system to report."""
+    bits on every load, and a file would not round-trip byte for byte.
+    Larger defects and entries outside [0, 1 + EPS_PROB] (NaN, infinities,
+    huge values that would overflow the sum) are left untouched for
+    validate_system to report."""
     vals = []
     for v in probs:
         v = float(v) + 0.0  # also folds -0.0 to 0.0
@@ -356,8 +357,10 @@ def require_valid(system: System) -> None:
 
 
 def _plus_probability(probs: tuple[float, ...], bit: int) -> float:
-    """Sum of the entries whose assignment index has ``bit`` set."""
-    return math.fsum(p for i, p in enumerate(probs) if (i >> bit) & 1)
+    """Sum of the entries whose assignment index has ``bit`` set, at most 1:
+    a bunch that loads a few ulps over one keeps its sum (see _clean_probs),
+    and a content holding all of its mass is +1 with probability 1."""
+    return min(1.0, math.fsum(p for i, p in enumerate(probs) if (i >> bit) & 1))
 
 
 def marginal(bunch: Bunch, content: str) -> float:

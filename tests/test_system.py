@@ -13,11 +13,14 @@ from cbdsys import (
     CbdError,
     ContentNotInContextError,
     Context,
+    CouplingConstraint,
     System,
     ValidationError,
     build_system,
     connections,
     consistency,
+    cyclic_criterion,
+    decide,
     expectation,
     marginal,
     parse_system,
@@ -128,6 +131,22 @@ class TestLoadCleaning:
         bunch = Bunch("c", ("q",), (-1e-12, 1.0 + 1e-12))
         assert bunch.probs[0] == 0.0
         assert math.fsum(bunch.probs) == 1.0
+
+    def test_sum_an_ulp_over_one_is_kept_with_marginals_at_most_one(self):
+        # Renormalizing would move the last bits on every load, so the sum
+        # stays over one; the content holding all the mass is still +1 with
+        # probability 1, which the maximal-equality target requires.
+        probs = (0.0, 0.8444218515250481, 0.0, 0.1555781484749521)
+        assert math.fsum(probs) > 1.0
+        system = build_system(
+            ["a", "b"], [("c1", ["a", "b"], probs), ("c2", ["a", "b"], [0.25] * 4)]
+        )
+        bunch = system.bunches[0]
+        assert bunch.probs == probs
+        assert bunch.plus_probs[0] == marginal(bunch, "a") == 1.0
+        me = CouplingConstraint.MAX_EQUALITY
+        closed = cyclic_criterion(system, system.cyclic_layout, me)
+        assert decide(system, me).feasible == closed.noncontextual
 
     def test_real_defects_left_for_validation(self):
         bunch = Bunch("c", ("q",), (0.6, 0.6))
