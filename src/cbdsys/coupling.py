@@ -524,7 +524,8 @@ def _shape(
     cols = np.concatenate([c for _, c, _ in triples])
     values = np.concatenate([np.full(c.size, v) for _, c, v in triples])
     order = np.lexsort((rows, cols))
-    cost = -np.bincount(np.concatenate([np.zeros(0, np.int64), *equal]), minlength=n).astype(np.float64)
+    pair_cols = np.concatenate([np.zeros(0, np.int64), *equal])  # empty without pairs
+    cost = -np.bincount(pair_cols, minlength=n).astype(np.float64)
     return _Shape(
         bunch_positions=bunch_positions,
         pair_positions=pair_positions,
