@@ -66,16 +66,20 @@ solve as well as its own, so a run of one-off shapes is slower than it
 would be from the slack basis.
 
 A :func:`decide` on a cached shape pays only for what depends on the
-system: one pass over the bunches for the variable positions, the pair
-targets read off the system's kept connections, the right-hand side, the
-row bounds of the shape's HighsLp, which each thread keeps, then
-``passModel``, ``setBasis``, ``run`` and the witness.  It formats no row
-name: :attr:`FeasibilityProblem.row_labels` is built when first read.  The
-witness glue runs in plain floats along a per-shape plan, in the order
-numpy would add, so its tables are the same to the bit.  Hand HiGHS the
-model as a HighsLp only: passModel's overloads that take numpy arrays
-returned "Optimal" after 0 iterations with a primal residual of 0.6 on a
-16-variable cycle of the benchmark's ``large-m``.
+system.  :func:`_lp_input` numbers the variables once and lists the bunch
+entries and the pair targets, read off the system's kept connections.  The
+bunch entries, mass 1 and separators 0 become the row bounds of the shape's
+HighsLp, which each thread keeps, and ``passModel``, ``setBasis`` and
+``run`` follow.  The degree needs only the objective value, so only a
+feasible verdict reads the solution back, as the list HiGHS returns, and
+glues the witness from it.  A decide builds no FeasibilityProblem (that is
+:func:`build_feasibility_problem`'s, for inspection) and formats a row name
+or the model status only for an error or the debug record.  The witness
+glue runs in plain floats along a per-shape plan, in the order numpy would
+add, so its tables are the same to the bit.  Hand HiGHS the model as a
+HighsLp only: passModel's overloads that take numpy arrays returned
+"Optimal" after 0 iterations with a primal residual of 0.6 on a 16-variable
+cycle of the benchmark's ``large-m``.
 
 Nothing loads this module, or numpy, until a program first needs the LP:
 ``import cbdsys`` serves this module's names on first access, and the CLI
@@ -108,17 +112,13 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConnectionSizeError, SolverError, SystemSizeError
-from .system import EPS_FEAS, System
+from .system import EPS_FEAS, M_MAX, System
 
 # The data model defines these, so the closed forms need not load this
 # module; they stay importable from here.
 from .system import CouplingConstraint, max_equality_probability  # noqa: F401
 
 log = logging.getLogger(__name__)
-
-#: Hard cap on the total variable count: a witness's dense joint has
-#: 2**M_MAX entries.
-M_MAX = 20
 
 #: HiGHS primal and dual feasibility tolerance, 100x tighter than EPS_FEAS.
 #: A degree above it but at most EPS_FEAS is feasible and flagged "boundary".
@@ -344,38 +344,27 @@ class FeasibilityVerdict:
     degree: float = 0.0
 
 
-@dataclass(frozen=True)
-class _Marginals:
-    """What a coupling must reproduce, by variable position: each context's
-    bunch as (positions, probs) and each two-member connection as
-    (u, v, target Pr[equal])."""
-
-    variables: tuple[tuple[str, str], ...]
-    bunches: tuple[tuple[tuple[int, ...], tuple[float, ...]], ...]
-    pairs: tuple[tuple[int, int, float], ...]
-
-
 def coupling_variables(system: System) -> tuple[tuple[str, str], ...]:
     """(content, context) pairs in canonical order: contexts as declared,
     contents in context order."""
     return tuple((q, b.context) for b in system.bunches for q in b.contents)
 
 
-def _marginals(system: System, constraint: CouplingConstraint) -> _Marginals:
-    """Requires connections of at most two members each and at most M_MAX
-    variables in all (a System is valid by construction).
+def _lp_input(system: System, constraint: CouplingConstraint):
+    """What a coupling must reproduce, by position in
+    :func:`coupling_variables`: those variables, each bunch's positions,
+    each two-member connection's positions and its target Pr[equal] read off
+    the system's kept connections, and every bunch entry in bunch order.
 
-    One pass over the bunches numbers the variables, and the pair targets
-    read each member's Pr[+1] off the system's kept connections.
+    Raises ConnectionSizeError for a connection of more than two members,
+    then SystemSizeError past M_MAX variables.
     """
-    position: dict[tuple[str, str], int] = {}
-    bunches = []
-    for bunch in system.bunches:
-        start = len(position)
-        for q in bunch.contents:
-            position[q, bunch.context] = len(position)
-        bunches.append((tuple(range(start, len(position))), bunch.probs))
-    pairs = []
+    variables = coupling_variables(system)
+    position = {v: i for i, v in enumerate(variables)}
+    bunches = tuple(
+        tuple(position[q, b.context] for q in b.contents) for b in system.bunches
+    )
+    pairs, targets = [], []
     for conn in system.connections:
         if len(conn.members) > 2:
             raise ConnectionSizeError(
@@ -384,15 +373,16 @@ def _marginals(system: System, constraint: CouplingConstraint) -> _Marginals:
             )
         if len(conn.members) == 2:
             (first, a), (second, b) = conn.members
-            q = conn.content
-            pairs.append((position[q, first], position[q, second], constraint.target(a, b)))
-    m = len(position)
+            pairs.append((position[conn.content, first], position[conn.content, second]))
+            targets.append(constraint.target(a, b))
+    m = len(variables)
     if m > M_MAX:
         raise SystemSizeError(
             f"coupling over {m} variables needs a 2^{m}-entry witness;"
             f" limit is 2^{M_MAX}"
         )
-    return _Marginals(tuple(position), tuple(bunches), tuple(pairs))
+    entries = [p for b in system.bunches for p in b.probs]
+    return variables, bunches, tuple(pairs), targets, entries
 
 
 def _gather_bits(index: np.ndarray, bits) -> np.ndarray:
@@ -557,29 +547,10 @@ def build_feasibility_problem(
     Requires connections of at most two members each and at most M_MAX
     variables in all (a System is valid by construction).
     """
-    marg = _marginals(system, constraint)
-    shape = _shape(
-        len(marg.variables),
-        tuple(positions for positions, _ in marg.bunches),
-        tuple((u, v) for u, v, _ in marg.pairs),
-    )
-    rhs = [p for _, probs in marg.bunches for p in probs]
-    rhs += [target for _, _, target in marg.pairs]
-    rhs += shape.uniform_rhs[shape.pair_rows.start:]  # mass 1, separators 0
-    return FeasibilityProblem(marg.variables, shape, np.array(rhs, dtype=np.float64))
-
-
-@dataclass(frozen=True)
-class _Solve:
-    """One HiGHS run on the CNT1 LP: the degree, the clique tables x*
-    attaining it, and how the run ended.  ``iterations`` counts this run's
-    simplex iterations from the start basis only, not those of the solve
-    that first made a shape's start basis."""
-
-    degree: float
-    x: np.ndarray
-    status: str
-    iterations: int
+    variables, bunches, pairs, targets, entries = _lp_input(system, constraint)
+    shape = _shape(len(variables), bunches, pairs)
+    rhs = [*entries, *targets, *shape.uniform_rhs[len(entries):]]  # then mass 1, separators 0
+    return FeasibilityProblem(variables, shape, np.array(rhs, dtype=np.float64))
 
 
 #: The HiGHS bindings scipy ships, as one pybind11 extension module.
@@ -641,6 +612,11 @@ def _solver():
     this thread's HighsLp of the shape, :func:`_cnt1_lp`) and then its
     shape's start basis (:attr:`_Shape.start_basis`), so it starts from
     that basis, never from an earlier system's.
+
+    Leave the ``threads`` option automatic.  HiGHS keeps one task scheduler
+    for the whole process, and after another instance has run with
+    ``threads=2``, a run with ``threads=1`` ends with model status
+    "Not Set".  The automatic setting solves after runs with any count.
     """
     highs = getattr(_local, "highs", None)
     if highs is None:
@@ -692,53 +668,41 @@ def _cnt1_lp(shape: _Shape, b):
     return lp
 
 
-def _run(highs) -> str:
+def _run(highs) -> None:
     """Run HiGHS on the model it holds, this thread's instance from
-    :func:`_solver`, and return its model status's name; raises SolverError
-    naming the status unless it is optimal."""
+    :func:`_solver`; raises SolverError naming the model status unless it
+    is optimal."""
     highs.run()
     status = highs.getModelStatus()
-    name = highs.modelStatusToString(status)
     if status != _local.optimal:
+        name = highs.modelStatusToString(status)
         raise SolverError(f"LP solver failed: HiGHS model status {name!r}")
-    return name
 
 
-def _solve_cnt1(problem: FeasibilityProblem) -> _Solve:
+def _solve_cnt1(shape: _Shape, b):
     """Maximize the sum of Pr[pair equal] subject to every bunch entry, the
-    total mass and every separator row as equalities, and x >= 0, on this
-    thread's HiGHS instance (:func:`_solver`), starting from the shape's
-    start basis, never from an earlier system's.
+    total mass and every separator row fixed to the CNT1 row bounds b, and
+    x >= 0, on this thread's HiGHS instance (:func:`_solver`), starting from
+    the shape's start basis, never from an earlier system's.
 
-    Per call it converts only the right-hand side: this thread's HighsLp of
-    the shape gets new row bounds and goes to ``passModel``, which copies
-    it.  Never pass the model as numpy arrays through passModel's other
-    overloads; see the module docstring.  Returns the degree, twice (sum of
-    pair targets - that maximum) clamped at 0, and the clique tables
-    attaining the maximum.
+    This thread's HighsLp of the shape gets b as its row bounds and goes to
+    ``passModel``, which copies it.  Never pass the model as numpy arrays
+    through passModel's other overloads; see the module docstring.  Returns
+    the instance, which holds the optimum until this thread's next solve.
     """
-    shape = problem.shape
-    rhs, pairs = problem.rhs.tolist(), shape.pair_rows
     basis = shape.start_basis  # on first use, itself a solve on this instance
     highs = _solver()
-    highs.passModel(_cnt1_lp(shape, rhs[:pairs.start] + rhs[pairs.stop:]))
+    highs.passModel(_cnt1_lp(shape, b))
     highs.setBasis(basis)
-    name = _run(highs)
-    deficit = sum(rhs[pairs]) + highs.getObjectiveValue()
-    _, iterations = highs.getInfoValue("simplex_iteration_count")
-    return _Solve(
-        max(0.0, 2.0 * deficit),
-        np.array(highs.getSolution().col_value),
-        name,
-        iterations,
-    )
+    _run(highs)
+    return highs
 
 
 def _witness(
-    problem: FeasibilityProblem, x: np.ndarray
+    shape: _Shape, variables: tuple[tuple[str, str], ...], x: list[float]
 ) -> tuple[CouplingWitness, np.ndarray]:
-    """The witness glued from clique tables x, and each clique's marginal
-    of its joint, laid out like x.
+    """The witness glued from clique tables x, the shape's columns as HiGHS
+    returns them, and each clique's marginal of its joint, laid out like x.
 
     Tiny negative solver entries are clipped to zero first.  Each child's
     table is divided by its own separator marginal, and a separator entry of
@@ -752,8 +716,7 @@ def _witness(
     entries in table order, as ``np.bincount`` would, so every table and
     marginal is the same to the bit as the same steps in numpy.
     """
-    shape = problem.shape
-    x = [0.0 if v <= 0.0 else v for v in x.tolist()]  # np.maximum(x, 0.0)
+    x = [0.0 if v <= 0.0 else v for v in x]  # np.maximum(x, 0.0)
     marginals = list(x)
     factors = x[:shape.offsets[1]]
     sizes = [len(factors)]
@@ -779,7 +742,7 @@ def _witness(
     for size in sizes:
         tables.append(flat[start:start + size])
         start += size
-    witness = CouplingWitness(problem.variables, shape.cliques, shape.tree, tuple(tables))
+    witness = CouplingWitness(variables, shape.cliques, shape.tree, tuple(tables))
     return witness, np.array(marginals)
 
 
@@ -790,20 +753,20 @@ def witness_violation(
     2**m entries: negative mass, total mass, bunch reproduction error, or
     missed connection-equality target.  This is the independent check of
     any witness; :func:`decide` checks its own per clique."""
-    marg = _marginals(system, constraint)
-    if witness.variables != marg.variables:
+    variables, bunches, pairs, targets, _ = _lp_input(system, constraint)
+    if witness.variables != variables:
         raise ValueError("witness variable order does not match the system's")
     x = witness.probs
-    if x.shape != (1 << len(marg.variables),):
+    if x.shape != (1 << len(variables),):
         raise ValueError(
-            f"witness has {x.size} entries, expected {1 << len(marg.variables)}"
+            f"witness has {x.size} entries, expected {1 << len(variables)}"
         )
     index = np.arange(x.size)
     worst = max(0.0, float(-x.min()), abs(float(x.sum()) - 1.0))
-    for positions, probs in marg.bunches:
-        got = np.bincount(_gather_bits(index, positions), weights=x, minlength=len(probs))
-        worst = max(worst, float(np.abs(got - probs).max()))
-    for u, v, target in marg.pairs:
+    for positions, bunch in zip(bunches, system.bunches):
+        got = np.bincount(_gather_bits(index, positions), weights=x, minlength=len(bunch.probs))
+        worst = max(worst, float(np.abs(got - bunch.probs).max()))
+    for (u, v), target in zip(pairs, targets):
         equal = float(x[((index >> u) & 1) == ((index >> v) & 1)].sum())
         worst = max(worst, abs(equal - target))
     return worst
@@ -817,28 +780,28 @@ def decide(system: System, constraint: CouplingConstraint) -> FeasibilityVerdict
     feasible iff it is at most EPS_FEAS, and feasible verdicts with a
     degree above TIGHT_TOL are flagged ``boundary``.
     """
-    problem = build_feasibility_problem(system, constraint)
-    solve = _solve_cnt1(problem)
-    feasible = solve.degree <= EPS_FEAS
+    variables, bunches, pairs, targets, entries = _lp_input(system, constraint)
+    shape = _shape(len(variables), bunches, pairs)
+    highs = _solve_cnt1(shape, [*entries, *shape.uniform_rhs[len(entries):]])
+    degree = max(0.0, 2.0 * (sum(targets) + highs.getObjectiveValue()))
+    feasible = degree <= EPS_FEAS
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "decide: m=%d, %d cliques, CNT1 LP %d x %d, %s after %d simplex"
             " iterations, degree %.3g -> %s",
-            problem.num_variables, len(problem.cliques),
-            len(problem.shape.uniform_rhs), len(problem.shape.lp_cost), solve.status, solve.iterations,
-            solve.degree, "feasible" if feasible else "infeasible",
+            len(variables), len(shape.cliques), len(shape.uniform_rhs), len(shape.lp_cost),
+            highs.modelStatusToString(highs.getModelStatus()),
+            highs.getInfoValue("simplex_iteration_count")[1],
+            degree, "feasible" if feasible else "infeasible",
         )
     if not feasible:
         return FeasibilityVerdict(
-            feasible=False, witness=None,
-            max_constraint_violation=solve.degree, degree=solve.degree,
+            feasible=False, witness=None, max_constraint_violation=degree, degree=degree,
         )
-    witness, marginals = _witness(problem, solve.x)
-    rows, cols = problem.shape.elastic_entries
-    k = problem.elastic_rows
-    violation = float(
-        np.abs(np.bincount(rows, weights=marginals[cols], minlength=k) - problem.rhs[:k]).max()
-    )
+    witness, marginals = _witness(shape, variables, highs.getSolution().col_value)
+    rows, cols = shape.elastic_entries
+    got = np.bincount(rows, weights=marginals[cols], minlength=shape.elastic_rows)
+    violation = float(np.abs(got - [*entries, *targets, 1.0]).max())
     if violation > EPS_FEAS:
         raise SolverError(
             f"solver returned an invalid witness (violation {violation:g})"
@@ -847,6 +810,6 @@ def decide(system: System, constraint: CouplingConstraint) -> FeasibilityVerdict
         feasible=True,
         witness=witness,
         max_constraint_violation=violation,
-        boundary=solve.degree > TIGHT_TOL,
-        degree=solve.degree,
+        boundary=degree > TIGHT_TOL,
+        degree=degree,
     )

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import IO, Any, Callable
 
 from .errors import ParseError
-from .system import NO, YES, Bunch, Content, System
+from .system import M_MAX, NO, YES, Bunch, Content, System
 
 DEFAULT_VALUE_ALIASES = {"Yes": YES, "No": NO, "+1": YES, "-1": NO, "1": YES}
 
@@ -225,6 +225,11 @@ def parse_system_text(text: str) -> System:
         members = entry.get("contents")
         if not isinstance(members, list) or not all(isinstance(q, str) for q in members):
             raise ParseError(f'context {cid!r} needs a "contents" list of ids')
+        if len(members) > M_MAX:
+            # Checked before the probs: a context of k contents has 2**k.
+            raise ParseError(
+                f"context {cid!r} lists {len(members)} contents; the limit is {M_MAX}"
+            )
         raw = entry.get("probs")
         if isinstance(raw, list):
             probs = [_as_number(v, f"context {cid!r} probs entry") for v in raw]

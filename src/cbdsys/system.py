@@ -44,6 +44,10 @@ EPS_PROB = 1e-9
 #: Looser than EPS_PROB because LP cross-checks accumulate solver error.
 EPS_FEAS = 1e-7
 
+#: Hard cap on the variable count of a coupling, and so on the contents of
+#: one context: a witness's dense joint has 2**M_MAX entries.
+M_MAX = 20
+
 #: The two outcome values.  "Yes" answers and detections encode as +1, "No"
 #: as -1; every other outcome set is rejected at parse time.
 YES = 1
@@ -376,15 +380,17 @@ def expectation(bunch: Bunch, content: str) -> float:
 def product_expectation(bunch: Bunch, a: str, b: str) -> float:
     """Expected product of two +1/-1 variables in one context.
 
-    Equals Pr[values equal] - Pr[values unequal].
+    Equals Pr[values equal] - Pr[values unequal], clamped to [-1, 1]: a
+    bunch that loads a few ulps over one keeps its sum (see _clean_probs).
     """
     if a == b:
         raise ValueError(f"product expectation needs two distinct contents, got {a!r} twice")
     u, v = bunch.bit(a), bunch.bit(b)
-    return math.fsum(
+    product = math.fsum(
         p if ((i >> u) & 1) == ((i >> v) & 1) else -p
         for i, p in enumerate(bunch.probs)
     )
+    return 1.0 if product > 1.0 else -1.0 if product < -1.0 else product
 
 
 def connections(system: System) -> tuple[Connection, ...]:

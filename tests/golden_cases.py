@@ -157,6 +157,18 @@ CASES: tuple[GoldenCase, ...] = (
         stderr_contains="at most 2",
     ),
     GoldenCase(
+        name="context_of_40_contents",
+        args=("analyze", "--input", "context_40_contents.json"),
+        exit_code=1,
+        stderr_contains="context 'c' lists 40 contents; the limit is 20",
+    ),
+    GoldenCase(
+        name="context_of_64_contents",
+        args=("analyze", "--input", "context_64_contents.json"),
+        exit_code=1,
+        stderr_contains="context 'c' lists 64 contents; the limit is 20",
+    ),
+    GoldenCase(
         name="nan_probs",
         args=("analyze", "--input", "nan_probs.json"),
         exit_code=1,

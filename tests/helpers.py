@@ -373,14 +373,13 @@ def _cnt1_model(shape, b):
     return lp
 
 
-def _run_to_optimum(highs) -> str:
+def _run_to_optimum(highs) -> None:
     highspy = coupling._highspy()
     highs.run()
     status = highs.getModelStatus()
-    name = highs.modelStatusToString(status)
     if status != highspy.HighsModelStatus.kOptimal:
+        name = highs.modelStatusToString(status)
         raise SolverError(f"LP solver failed: HiGHS model status {name!r}")
-    return name
 
 
 def uniform_cnt1_rhs(problem) -> list[float]:
@@ -397,21 +396,48 @@ def uniform_cnt1_rhs(problem) -> list[float]:
     ]
 
 
-def _cnt1_solve(problem, highs, basis=None):
-    shape = problem.shape
-    rhs, pairs = problem.rhs.tolist(), shape.pair_rows
-    highs.passModel(_cnt1_model(shape, rhs[:pairs.start] + rhs[pairs.stop:]))
-    if basis is not None:
-        highs.setBasis(basis)
-    name = _run_to_optimum(highs)
+@dataclass(frozen=True)
+class Cnt1Solve:
+    """One CNT1 solve read back from the HiGHS instance holding its optimum:
+    the degree, the clique tables x* attaining it, the model status and the
+    run's simplex iterations."""
+
+    degree: float
+    x: np.ndarray
+    status: str
+    iterations: int
+
+
+def cnt1_rhs(problem) -> list[float]:
+    """The problem's right-hand side without its pair rows: the CNT1 LP's
+    row bounds."""
+    rhs, pairs = problem.rhs.tolist(), problem.shape.pair_rows
+    return rhs[:pairs.start] + rhs[pairs.stop:]
+
+
+def _read_cnt1(problem, highs) -> Cnt1Solve:
     info = highs.getInfo()
-    deficit = sum(rhs[pairs]) + info.objective_function_value
-    return coupling._Solve(
+    deficit = sum(problem.rhs.tolist()[problem.shape.pair_rows]) + info.objective_function_value
+    return Cnt1Solve(
         max(0.0, 2.0 * deficit),
         np.array(highs.getSolution().col_value),
-        name,
+        highs.modelStatusToString(highs.getModelStatus()),
         info.simplex_iteration_count,
     )
+
+
+def _cnt1_solve(problem, highs, basis=None):
+    highs.passModel(_cnt1_model(problem.shape, cnt1_rhs(problem)))
+    if basis is not None:
+        highs.setBasis(basis)
+    _run_to_optimum(highs)
+    return _read_cnt1(problem, highs)
+
+
+def solve_cnt1(problem) -> Cnt1Solve:
+    """The library's CNT1 solve (``coupling._solve_cnt1``) of the problem, on
+    this thread's instance, read back as a Cnt1Solve."""
+    return _read_cnt1(problem, coupling._solve_cnt1(problem.shape, cnt1_rhs(problem)))
 
 
 def solve_cnt1_fresh(problem):

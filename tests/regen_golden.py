@@ -7,6 +7,7 @@ afterwards; expected outputs are byte-compared by the test suite.
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -129,6 +130,14 @@ def build_inputs() -> dict[Path, bytes]:
   "values": {"Maybe": 0}
 }
 """)
+    # One context past M_MAX, its probs an outcome map: refused before its
+    # 2**k probabilities are allocated.
+    for k in (40, 64):
+        ids = [f"q{i}" for i in range(k)]
+        write(INPUT_DIR / f"context_{k}_contents.json", json.dumps({
+            "contents": [{"id": q} for q in ids],
+            "contexts": [{"id": "c", "contents": ids, "probs": {",".join(["Yes"] * k): 1.0}}],
+        }) + "\n")
     return files
 
 

@@ -377,7 +377,8 @@ _WITHOUT_NUMPY = (
 @pytest.mark.parametrize("case", [
     c for c in CASES
     if c.name in ("bell_mixed", "qq_identical", "qq_unequal_marginals", "qq_opposite",
-                  "bad_sum", "closed_form_needs_cycle", "qq_needs_rank2")
+                  "bad_sum", "closed_form_needs_cycle", "qq_needs_rank2",
+                  "context_of_40_contents", "context_of_64_contents")
 ], ids=lambda c: c.name)
 def test_closed_forms_and_input_errors_run_without_numpy(case):
     # The entry point in a fresh interpreter that cannot import numpy.
@@ -464,6 +465,39 @@ def test_bindings_are_shared_with_scipy_optimize(order):
     # Either import order leaves one bindings module, which both decide and
     # scipy.optimize's own linprog use.
     proc = _run_python(["-c", _ORDER_PROBE, order])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+_SHARED_SCHEDULER_PROBE = """
+from cbdsys import build_bell, coupling, decide, CouplingConstraint
+highspy = coupling._highspy()
+other = highspy._Highs()
+options = highspy.HighsOptions()
+options.output_flag = options.log_to_console = False
+options.threads = 2
+other.passOptions(options)
+lp = highspy.HighsLp()
+lp.num_col_ = 1
+lp.col_cost_ = (1.0,)
+lp.col_lower_ = (0.0,)
+lp.col_upper_ = (1.0,)
+other.passModel(lp)
+other.run()
+assert other.modelStatusToString(other.getModelStatus()) == "Optimal"
+for moments, feasible in (((0.5, 0.5, 0.5, 0.5), True), ((1, 1, 1, -1), False)):
+    verdict = decide(build_bell(moments, [0.0] * 8), CouplingConstraint.MAX_EQUALITY)
+    assert verdict.feasible is feasible, verdict
+print("ok")
+"""
+
+
+def test_decide_after_another_instance_ran_with_two_threads():
+    # HiGHS keeps one task scheduler per process.  After this other
+    # instance's run with threads=2, a decide whose instance fixed
+    # threads=1 would end with model status "Not Set", so coupling._solver
+    # leaves the thread count automatic.
+    proc = _run_python(["-c", _SHARED_SCHEDULER_PROBE])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
 

@@ -55,6 +55,7 @@ from helpers import (
     random_rank4_general,
     random_small_system,
     separator_entries,
+    solve_cnt1,
     solve_cnt1_cold,
     solve_cnt1_fresh,
     uniform_cnt1_rhs,
@@ -268,6 +269,29 @@ class TestDecide:
         assert verdict.feasible
         assert peak < 20e6
 
+    def test_only_a_feasible_verdict_reads_the_solution(self, monkeypatch):
+        # The degree needs only the objective value; the clique tables are
+        # read back from HiGHS for a witness alone.
+        reads = []
+        solve = coupling._solve_cnt1
+
+        class Counted:
+            def __init__(self, highs):
+                self._highs = highs
+
+            def __getattr__(self, name):
+                return getattr(self._highs, name)
+
+            def getSolution(self):
+                reads.append(1)
+                return self._highs.getSolution()
+
+        monkeypatch.setattr(coupling, "_solve_cnt1", lambda shape, b: Counted(solve(shape, b)))
+        for moments, feasible in (((0.5, 0.5, 0.5, 0.5), True), ((1, 1, 1, -1), False)):
+            reads.clear()
+            assert decide(build_bell(moments, [0.0] * 8), ME).feasible is feasible
+            assert len(reads) == feasible
+
     def test_feasible_verdict_never_builds_the_dense_joint(self):
         # A rank-10 cycle has m = 20 variables: its dense joint alone is
         # 8 MB of float64, its 2^20-long tuple far more.
@@ -289,14 +313,7 @@ class TestDecide:
         # The per-clique residual is the enumeration's residual on the glued
         # joint.  Point-mass and two-point tables leave child separator
         # entries without mass, where the conditional is uniform.
-        solves = []
-        solve = coupling._solve_cnt1
-
-        def recorded(problem):
-            solves.append((problem, solve(problem)))
-            return solves[-1][1]
-
-        monkeypatch.setattr(coupling, "_solve_cnt1", recorded)
+        solutions = _record_solutions(monkeypatch)
         empty_separators = feasible = 0
         for _ in range(1000):
             system = _with_sparse_tables(random_small_system(rng, 12), rng)
@@ -305,8 +322,8 @@ class TestDecide:
                 if not verdict.feasible:
                     continue
                 feasible += 1
-                problem, solved = solves[-1]
-                empty_separators += _empty_child_separator_entries(problem, solved.x)
+                problem = build_feasibility_problem(system, constraint)
+                empty_separators += _empty_child_separator_entries(problem, solutions[-1])
                 assert verdict.max_constraint_violation == pytest.approx(
                     witness_violation(system, constraint, verdict.witness), abs=1e-12
                 )
@@ -329,7 +346,7 @@ def test_glue_keeps_mass_where_a_child_separator_is_empty(rng):
     tables[child][child_entry == 0] = 0.0
     x = np.concatenate(tables)
     x[: tables[0].size] /= tables[0].sum()
-    witness, marginals = coupling._witness(problem, x)
+    witness, marginals = coupling._witness(problem.shape, problem.variables, x.tolist())
     assert sum(witness.probs) == pytest.approx(1.0, abs=1e-12)
     m = problem.num_variables
     for clique, marginal in zip(
@@ -345,14 +362,7 @@ def test_glue_matches_numpy_bit_for_bit(rng, monkeypatch):
     # same steps as numpy array operations.  Tables, the dense joint and the
     # per-clique residual must agree to the bit, also where a child
     # separator entry has no mass.
-    solves = []
-    solve = coupling._solve_cnt1
-
-    def recorded(problem):
-        solves.append((problem, solve(problem)))
-        return solves[-1][1]
-
-    monkeypatch.setattr(coupling, "_solve_cnt1", recorded)
+    solutions = _record_solutions(monkeypatch)
     systems = [random_small_system(rng, 12) for _ in range(150)]
     systems += [_with_sparse_tables(random_small_system(rng, 12), rng) for _ in range(150)]
     systems += [
@@ -366,9 +376,9 @@ def test_glue_matches_numpy_bit_for_bit(rng, monkeypatch):
             if not verdict.feasible:
                 continue
             feasible += 1
-            problem, solved = solves[-1]
-            empty_separators += _empty_child_separator_entries(problem, solved.x)
-            tables, marginals = glue_numpy(problem, solved.x)
+            problem, x = build_feasibility_problem(system, constraint), solutions[-1]
+            empty_separators += _empty_child_separator_entries(problem, x)
+            tables, marginals = glue_numpy(problem, x)
             witness = verdict.witness
             assert [t.tobytes() for t in witness.tables] == [t.tobytes() for t in tables]
             oracle = coupling.CouplingWitness(witness.variables, witness.cliques, witness.tree, tables)
@@ -376,6 +386,20 @@ def test_glue_matches_numpy_bit_for_bit(rng, monkeypatch):
             assert verdict.max_constraint_violation.hex() == clique_check_numpy(problem, marginals).hex()
     assert feasible > 300
     assert empty_separators > 0
+
+
+def _record_solutions(monkeypatch) -> list[np.ndarray]:
+    """Every CNT1 solve's clique tables x*, appended as decide solves."""
+    solutions = []
+    solve = coupling._solve_cnt1
+
+    def recorded(shape, b):
+        highs = solve(shape, b)
+        solutions.append(np.array(highs.getSolution().col_value))
+        return highs
+
+    monkeypatch.setattr(coupling, "_solve_cnt1", recorded)
+    return solutions
 
 
 def _with_sparse_tables(system, rng):
@@ -556,12 +580,12 @@ class TestSolverInstance:
         oracle = [_solve_bits(solve_cnt1_fresh(problem)) for problem in problems]
         order = np.random.default_rng(12).permutation(len(problems)).tolist()
         for i in order:
-            assert _solve_bits(coupling._solve_cnt1(problems[i])) == oracle[i], i
+            assert _solve_bits(solve_cnt1(problems[i])) == oracle[i], i
         # Each shape's HighsLp is kept on this thread, and solving again
         # reuses it, with only its row bounds set anew.
         kept = {id(problem.shape): coupling._local.lps[problem.shape] for problem in problems}
         for i in order[::-1]:
-            assert _solve_bits(coupling._solve_cnt1(problems[i])) == oracle[i], i
+            assert _solve_bits(solve_cnt1(problems[i])) == oracle[i], i
             shape = problems[i].shape
             assert coupling._local.lps[shape] is kept[id(shape)], i
 
@@ -572,13 +596,13 @@ class TestSolverInstance:
         rhs = problem.rhs.copy()
         rhs[:problem.shape.pair_rows.start] *= 0.5
         broken = FeasibilityProblem(problem.variables, problem.shape, rhs)
-        for solve in (solve_cnt1_fresh, coupling._solve_cnt1):
+        for solve in (solve_cnt1_fresh, solve_cnt1):
             with pytest.raises(SolverError, match=r"^LP solver failed: HiGHS model status "):
                 solve(broken)
         # The same shape's kept HighsLp held the broken row bounds last.
-        assert _solve_bits(coupling._solve_cnt1(problem)) == _solve_bits(solve_cnt1_fresh(problem))
+        assert _solve_bits(solve_cnt1(problem)) == _solve_bits(solve_cnt1_fresh(problem))
         for later in problems[:50]:
-            assert _solve_bits(coupling._solve_cnt1(later)) == _solve_bits(solve_cnt1_fresh(later))
+            assert _solve_bits(solve_cnt1(later)) == _solve_bits(solve_cnt1_fresh(later))
 
     def test_kept_lps_are_bounded_by_the_shape_cache(self, rng):
         # A thread keeps one HighsLp per live shape.  Past the shape
@@ -614,7 +638,7 @@ class TestSolverInstance:
         # every feasible witness passes the enumerating check.
         for i, ((system, constraint), problem) in enumerate(zip(cases, problems)):
             cold = solve_cnt1_cold(problem)
-            assert coupling._solve_cnt1(problem).status == cold.status, i
+            assert solve_cnt1(problem).status == cold.status, i
             verdict = decide(system, constraint)
             assert abs(verdict.degree - cold.degree) <= 1e-12, i
             assert verdict.feasible == (cold.degree <= EPS_FEAS), i
@@ -664,9 +688,7 @@ class TestSolverInstance:
         ):
             problem.shape.start_basis
         monkeypatch.undo()
-        assert _solve_bits(coupling._solve_cnt1(problem)) == _solve_bits(
-            solve_cnt1_fresh(problem)
-        )
+        assert _solve_bits(solve_cnt1(problem)) == _solve_bits(solve_cnt1_fresh(problem))
 
     def test_threads_match_a_serial_run(self):
         # Four threads decide the same 258 cases, each in its own order.

@@ -13,6 +13,7 @@ from cbdsys import (
     parse_system_text,
     serialize_system,
 )
+from cbdsys import fileio
 from cbdsys.fileio import dumps_canonical, format_float
 from helpers import dumps_canonical_reference, random_small_system
 
@@ -126,6 +127,23 @@ class TestParse:
         doc["contexts"][0]["probs"] = {"Yes,Yes": 0.5, "+1,+1": 0.5}
         with pytest.raises(ParseError):
             parse_system_text(json.dumps(doc))
+
+    def test_context_past_m_max_is_refused_before_its_probs(self, monkeypatch):
+        # A context of k contents has 2**k probabilities, so past M_MAX the
+        # parser refuses it before it reads or allocates any of them.
+        def doc(k, probs):
+            ids = [f"q{i}" for i in range(k)]
+            return json.dumps({
+                "contents": [{"id": q} for q in ids],
+                "contexts": [{"id": "c", "contents": ids, "probs": probs}],
+            })
+
+        monkeypatch.setattr(fileio, "M_MAX", 2)
+        assert parse_system_text(doc(2, [0.25] * 4)).bunches[0].contents == ("q0", "q1")
+        refused = r"^context 'c' lists 3 contents; the limit is 2$"
+        for probs in ([0.125] * 8, {"Yes,Yes,Yes": 1.0}, "never read"):
+            with pytest.raises(ParseError, match=refused):
+                parse_system_text(doc(3, probs))
 
 
 class TestRoundTrip:

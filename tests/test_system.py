@@ -25,6 +25,7 @@ from cbdsys import (
     marginal,
     parse_system,
     product_expectation,
+    qq_statistic,
     validate_system,
 )
 from golden_cases import INPUT_DIR
@@ -147,6 +148,22 @@ class TestLoadCleaning:
         me = CouplingConstraint.MAX_EQUALITY
         closed = cyclic_criterion(system, system.cyclic_layout, me)
         assert decide(system, me).feasible == closed.noncontextual
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_product_expectation_of_a_sum_an_ulp_over_one_is_within_one(self, sign):
+        # All the mass on equal (or on unequal) values, summing an ulp over
+        # one: the expected product is +1 (or -1), and so are the rank-2
+        # criterion's lhs and the QQ statistic against a uniform bunch.
+        mass = (0.8444218515250481, 0.1555781484749521)
+        probs = (mass[0], 0.0, 0.0, mass[1]) if sign > 0 else (0.0, mass[0], mass[1], 0.0)
+        assert math.fsum(probs) > 1.0
+        system = build_system(
+            ["a", "b"], [("c1", ["a", "b"], probs), ("c2", ["a", "b"], [0.25] * 4)]
+        )
+        assert product_expectation(system.bunches[0], "a", "b") == sign
+        me = CouplingConstraint.MAX_EQUALITY
+        assert cyclic_criterion(system, system.cyclic_layout, me).lhs == 1.0
+        assert abs(qq_statistic(system, system.cyclic_layout)) == 1.0
 
     def test_real_defects_left_for_validation(self):
         bunch = Bunch("c", ("q",), (0.6, 0.6))
