@@ -14,8 +14,9 @@ One place, the ``cli`` group, turns every subcommand's errors into codes 1
 and 2; one function, ``_finish``, renders every report and exits with its
 verdict's code.
 
-CBD_LOG=<level> (a standard level name such as debug) sends log records of
-that level and above to stderr, prefixed with level and logger name.  There
+CBD_LOG=<level> (a standard level name such as debug; any other value means
+info) sends log records of that level and above to stderr, prefixed with
+level and logger name.  There
 are two: CBD_LOG=debug shows one record per LP solve (``decide``: variable
 count, cliques, rows x columns of the CNT1 LP, HiGHS model status, simplex
 iteration count, degree of contextuality, verdict), and the sweep's
@@ -308,10 +309,11 @@ def qq(input_stream, output: str):
 
 def main(argv: list[str] | None = None) -> None:
     """Entry point wrapping click so input errors exit 1, not click's 2."""
-    level = os.environ.get("CBD_LOG", "").upper()
-    if level:
+    name = os.environ.get("CBD_LOG", "").upper()
+    if name:
+        level = getattr(logging, name, None)
         logging.basicConfig(
-            level=getattr(logging, level, logging.INFO), stream=sys.stderr
+            level=level if isinstance(level, int) else logging.INFO, stream=sys.stderr
         )
     try:
         cli.main(args=argv, standalone_mode=False)

@@ -19,17 +19,18 @@ enumerates the 2**m joint assignments (m = total variable count) in the LP:
   clique tree (empty separators link disconnected components, so every
   component carries the same total mass);
 * the LP has one unknown per entry of each clique table (sum of 2**|C|
-  unknowns), reads every bunch, equal and mass row off a clique holding its
-  variables, and makes neighbouring cliques agree on their separators.
+  unknowns), reads every bunch row and every pair's Pr[equal] off a clique
+  holding its variables, and makes neighbouring cliques agree on their
+  separators.
 
 On a clique tree, locally consistent tables always extend to a global joint
 (Vorob'ev 1962; Abramsky & Brandenburger, NJP 13, 2011), so the LP's optimum
 is exactly the optimum over all 2**m joint assignments.
 
-Every bunch entry, the total mass and every separator row is a hard
-equality, and the connection pairs enter only the objective: :func:`decide`
-maximizes the sum of Pr[pair equal] over all couplings of the bunches, the
-CNT1 LP of Kujala & Dzhafarov, "Measures of contextuality and
+The LP's rows are, in this one order, every bunch entry, the total mass and
+every separator entry, each a hard equality, and the connection pairs enter
+only the objective: :func:`decide` maximizes the sum of Pr[pair equal] over
+all couplings of the bunches, the CNT1 LP of Kujala & Dzhafarov, "Measures of contextuality and
 non-contextuality", Phil. Trans. R. Soc. A 377 (2019).  The deficit is the
 sum of the pairs' targets minus that maximum, and the *degree* of
 contextuality is twice the deficit (clamped at 0): for cyclic systems it
@@ -45,12 +46,12 @@ solved before or on which thread solves it.  When the degree is at
 most EPS_FEAS the witness stays in clique-tree form: the root's table, then
 each child's table conditioned on its separator.  Their product is the glued
 joint.  One top-down pass over the tree gives every clique's marginal of
-that joint, and the witness is checked against every bunch, equal and mass
-row per clique, in work bounded by the clique-table sizes, not by 2**m.  The
-dense 2**m joint, a read-only float64 array, is built only when
-:attr:`CouplingWitness.probs` is first read; :func:`witness_violation`
-still checks any claimed witness by enumerating it.  M_MAX bounds the size
-of that dense joint.
+that joint, and the witness is checked per clique against every bunch entry,
+the total mass and every pair's target, in work bounded by the clique-table
+sizes, not by 2**m.  The dense 2**m joint, a read-only float64 array, is
+built only when :attr:`CouplingWitness.probs` is first read;
+:func:`witness_violation` still checks any claimed witness by enumerating
+it.  M_MAX bounds the size of that dense joint.
 
 Only the right-hand side and the row names depend on a system's
 probabilities and ids.  The triangulation, clique tree and HiGHS column
@@ -72,10 +73,11 @@ bunch entries, mass 1 and separators 0 become the row bounds of the shape's
 HighsLp, which each thread keeps, and ``passModel``, ``setBasis`` and
 ``run`` follow.  The degree needs only the objective value, so only a
 feasible verdict reads the solution back, as the list HiGHS returns, and
-glues the witness from it.  A decide builds no FeasibilityProblem (that is
-:func:`build_feasibility_problem`'s, for inspection) and formats a row name
-or the model status only for an error or the debug record.  The witness
-glue runs in plain floats along a per-shape plan, in the order numpy would
+glues the witness from it.  A decide builds no FeasibilityProblem:
+:func:`build_feasibility_problem` returns the same LP, with the same rows
+and right-hand side, for inspection.  A decide formats a row name or the
+model status only for an error or the debug record.  The witness glue runs
+in plain floats along a per-shape plan, in the order numpy would
 add, so its tables are the same to the bit.  Hand HiGHS the model as a
 HighsLp only: passModel's overloads that take numpy arrays returned
 "Optimal" after 0 iterations with a primal residual of 0.6 on a 16-variable
@@ -131,41 +133,43 @@ SHAPE_CACHE_SIZE = 32
 
 @dataclass(frozen=True, eq=False)
 class _Shape:
-    """The part of the clique-tree LP that depends only on where each bunch
-    and connection pair sits: everything of a FeasibilityProblem except its
-    right-hand side and variable names, plus the CNT1 LP handed to HiGHS.
+    """The part of the CNT1 LP that depends only on where each bunch and
+    connection pair sits: everything of a FeasibilityProblem except its
+    right-hand side, pair targets and variable names.
 
-    ``bunch_positions`` and ``pair_positions`` are the variable positions it
-    was built for.  Its clique tables are laid end to end: ``offsets`` holds
-    where each starts in the columns (and where the last ends).
+    ``bunch_positions`` are the variable positions of each bunch.
+    ``cliques`` lists each maximal clique as ascending variable positions;
+    the unknowns are the clique tables laid end to end, ``offsets`` holds
+    where each starts in the columns (and where the last ends), and bit j of
+    an entry of clique C's table carries variable C[j].  ``tree`` lists the
+    clique-tree edges as (parent, child), root (clique 0) first.
 
-    The problem's first ``elastic_rows`` rows are its bunch, pair and mass
-    rows; ``elastic_entries`` holds their nonzeros' rows and columns, which
-    are all 1, and ``pair_rows`` is the pair rows' slice.  ``glue`` holds,
-    per tree edge, the offset of the parent's table, the separator entry
-    that each of its entries falls in, the same for the child's table, and
-    the separator's entry count: the separator rows that follow, +1 on the
-    parent's entries and -1 on the child's.  The witness is glued along it.
-
-    The CNT1 LP keeps every row but the pair rows as a hard equality, in the
-    same order, and minimizes ``lp_cost``, minus the sum of the pair rows,
-    over nonnegative columns.  Its constraint matrix is stored column-wise
+    The LP's rows are every bunch entry of every bunch, the mass row, then
+    per tree edge its separator rows: ``glue`` holds, per edge, the offset
+    of the parent's table, the separator entry that each of its entries
+    falls in, the same for the child's table, and the separator's entry
+    count, with +1 on the parent's entries and -1 on the child's.  The
+    witness is glued along it.  The constraint matrix is stored column-wise
     as (lp_start, lp_index, lp_value), in tuples because HiGHS's bindings
     read those fastest; only the row bounds vary per call, and each thread
-    converts the rest once per shape (:func:`_cnt1_lp`).  ``uniform_rhs`` is
-    its right-hand side when every bunch is uniform (1/2**k per entry of a
-    k-content bunch), mass 1 and separators 0, and ``start_basis``, an
-    optimal basis at that right-hand side, starts every solve of this shape.
+    converts the rest once per shape (:func:`_cnt1_lp`).  ``lp_cost`` is
+    minus the number of connection pairs that each column makes equal (both
+    -1 or both +1), so the LP minimizes minus the sum of Pr[pair equal] over
+    nonnegative columns.  ``uniform_rhs`` is the right-hand side when every
+    bunch is uniform (1/2**k per entry of a k-content bunch), mass 1 and
+    separators 0, and ``start_basis``, an optimal basis at that right-hand
+    side, starts every solve of this shape.
+
+    ``check_entries`` holds the rows and columns, all 1, of the witness
+    check: the bunch rows and the mass row as in the LP, then one row per
+    connection pair, summing its equal columns.
     """
 
     bunch_positions: tuple[tuple[int, ...], ...]
-    pair_positions: tuple[tuple[int, int], ...]
     cliques: tuple[tuple[int, ...], ...]
     tree: tuple[tuple[int, int], ...]
     offsets: tuple[int, ...]
-    elastic_rows: int
-    pair_rows: slice
-    elastic_entries: tuple[np.ndarray, np.ndarray]
+    check_entries: tuple[np.ndarray, np.ndarray]
     glue: tuple[tuple[int, tuple[int, ...], int, tuple[int, ...], int], ...]
     lp_start: tuple[int, ...]
     lp_index: tuple[int, ...]
@@ -191,63 +195,51 @@ class _Shape:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense problem matrix, built on first use and read-only."""
-        rows, cols = self.elastic_entries
-        matrix = np.zeros(
-            (self.elastic_rows + sum(edge[-1] for edge in self.glue), self.offsets[-1])
-        )
-        matrix[rows, cols] = 1.0
-        row = self.elastic_rows
-        for parent_at, parent_entry, child_at, child_entry, width in self.glue:
-            for at, entry, sign in ((parent_at, parent_entry, 1.0), (child_at, child_entry, -1.0)):
-                matrix[row + np.array(entry), at + np.arange(len(entry))] = sign
-            row += width
+        """The dense constraint matrix, built from the column-wise arrays on
+        first use and read-only."""
+        n = len(self.lp_cost)
+        matrix = np.zeros((len(self.uniform_rhs), n))
+        matrix[self.lp_index, np.repeat(np.arange(n), np.diff(self.lp_start))] = self.lp_value
         matrix.flags.writeable = False
         return matrix
 
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityProblem:
-    """The clique-tree LP over clique tables x >= 0.
+    """The CNT1 LP of one system over clique tables x >= 0, as HiGHS gets it.
 
     ``variables`` fixes the variable positions and the witness's bit
     convention: bit j of a joint assignment (least significant =
     variables[0]) carries variables[j], with bit value 1 meaning +1.
-    ``cliques`` lists each maximal clique as ascending variable positions;
-    the unknowns are the clique tables laid end to end, and bit j of an
-    entry of clique C's table carries variables[C[j]].  ``tree`` lists the
-    clique-tree edges as (parent, child), root (clique 0) first.
-
-    The first ``elastic_rows`` rows of ``matrix`` are, in order: every bunch
-    entry of every context, one agreement probability per two-member
-    connection, and total mass one.  The remaining rows (right-hand side 0)
-    make each tree edge's two cliques agree on their separator.
 
     ``shape`` holds everything that depends only on where each bunch and
-    connection pair sits, and is shared by every system of that shape:
-    ``cliques``, ``tree``, ``elastic_rows`` and ``matrix``, which is built
-    on first read and is read-only.  ``variables`` and ``rhs`` are this
-    system's own.  ``row_labels`` names every row from the variable names
-    and the shape's tree, and is formatted only when first read.
+    connection pair sits, and is shared by every system of that shape: the
+    cliques, the tree, the column-wise matrix and the costs.  ``matrix`` is
+    its dense form, built on first read and read-only.  Its rows, and those
+    of ``rhs`` and ``row_labels``, are in order: every bunch entry of every
+    context, total mass one, then, per tree edge, the separator rows
+    (right-hand side 0) that make its two cliques agree.  ``targets`` holds
+    each two-member connection's target Pr[equal], in the order of the
+    system's connections; the pairs enter only the cost.  ``variables``,
+    ``rhs`` and ``targets`` are this system's own.  ``row_labels`` names
+    every row from the variable names and the shape's tree, and is
+    formatted only when first read.
     """
 
     variables: tuple[tuple[str, str], ...]
     shape: _Shape
     rhs: np.ndarray
+    targets: tuple[float, ...]
 
     @cached_property
     def row_labels(self) -> tuple[str, ...]:
-        """``bunch[<context>][<entry>]``, ``equal[<content>:<context>=<context>]``,
-        ``mass`` and ``separator[<parent>-<child>][<entry>]``, row by row."""
+        """``bunch[<context>][<entry>]``, ``mass`` and
+        ``separator[<parent>-<child>][<entry>]``, row by row."""
         names, shape = self.variables, self.shape
         labels = [
             f"bunch[{names[positions[0]][1]}][{a}]"
             for positions in shape.bunch_positions
             for a in range(1 << len(positions))
-        ]
-        labels += [
-            f"equal[{names[u][0]}:{names[u][1]}={names[v][1]}]"
-            for u, v in shape.pair_positions
         ]
         labels.append("mass")
         labels += [
@@ -258,31 +250,16 @@ class FeasibilityProblem:
         return tuple(labels)
 
     @property
-    def num_variables(self) -> int:
-        return len(self.variables)
-
-    @property
-    def cliques(self) -> tuple[tuple[int, ...], ...]:
-        return self.shape.cliques
-
-    @property
-    def tree(self) -> tuple[tuple[int, int], ...]:
-        return self.shape.tree
-
-    @property
     def matrix(self) -> np.ndarray:
         return self.shape.matrix
-
-    @property
-    def elastic_rows(self) -> int:
-        return self.shape.elastic_rows
 
 
 @dataclass(frozen=True, eq=False)
 class CouplingWitness:
     """A joint distribution certifying noncontextuality, in clique-tree form.
 
-    ``variables``, ``cliques`` and ``tree`` are as in FeasibilityProblem.
+    ``variables`` is as in FeasibilityProblem, ``cliques`` and ``tree`` as
+    in its shape.
     ``tables`` holds clique 0's table, then, for each tree edge in order,
     the child clique's table conditioned on the separator it shares with its
     parent: nonnegative, and summing to one over each separator entry.  The
@@ -455,8 +432,9 @@ def _shape(
     pair_positions: tuple[tuple[int, int], ...],
 ) -> _Shape:
     """Triangulate, build the clique tree and assemble the CNT1 LP's
-    nonzeros, column by clique-table entry, for bunches and connection pairs
-    at the given variable positions."""
+    nonzeros and costs and the witness check's nonzeros, column by
+    clique-table entry, for bunches and connection pairs at the given
+    variable positions."""
     edges = [
         edge for positions in bunch_positions for edge in combinations(positions, 2)
     ]
@@ -487,18 +465,16 @@ def _shape(
         entry, col = marginal(holder(positions), positions)
         triples.append((row + entry, col, 1.0))
         row += 1 << len(positions)
+    mass = row
+    entry, col = marginal(0, ())
+    triples.append((row + entry, col, 1.0))
+    row += 1
     equal = []
     for u, v in pair_positions:
         entry, col = marginal(holder((u, v)), (u, v))
         equal.append(col[(entry == 0) | (entry == 3)])  # both -1 or both +1
-    pair_rows = slice(row, row + len(pair_positions))
-    entry, col = marginal(0, ())
-    triples.append((row + entry, col, 1.0))
-    # The problem numbers its pair rows between the bunch and mass rows.
-    elastic = [(r, c) for r, c, _ in triples[:-1]]
-    elastic += [(np.full(c.size, r), c) for r, c in enumerate(equal, row)]
-    elastic.append((pair_rows.stop + entry, col))
-    row += 1
+    check = [(r, c) for r, c, _ in triples]
+    check += [(np.full(c.size, r), c) for r, c in enumerate(equal, row)]
 
     glue = []
     for parent, child in tree:
@@ -518,13 +494,10 @@ def _shape(
     cost = -np.bincount(pair_cols, minlength=n).astype(np.float64)
     return _Shape(
         bunch_positions=bunch_positions,
-        pair_positions=pair_positions,
         cliques=tuple(cliques),
         tree=tuple(tree),
         offsets=tuple(offsets.tolist()),
-        elastic_rows=pair_rows.stop + 1,
-        pair_rows=pair_rows,
-        elastic_entries=tuple(np.concatenate(part) for part in zip(*elastic)),
+        check_entries=tuple(np.concatenate(part) for part in zip(*check)),
         glue=tuple(glue),
         lp_start=tuple(np.searchsorted(cols[order], np.arange(n + 1)).tolist()),
         lp_index=tuple(rows[order].tolist()),
@@ -534,23 +507,24 @@ def _shape(
             0.5 ** len(positions)
             for positions in bunch_positions
             for _ in range(1 << len(positions))
-        ) + (1.0,) + (0.0,) * (row - pair_rows.start - 1),
+        ) + (1.0,) + (0.0,) * (row - mass - 1),
     )
 
 
 def build_feasibility_problem(
     system: System, constraint: CouplingConstraint
 ) -> FeasibilityProblem:
-    """Assemble the clique-tree LP deciding C-coupling existence: the cached
-    shape with this system's right-hand side.
+    """Assemble the CNT1 LP deciding C-coupling existence, as :func:`decide`
+    solves it: the cached shape with this system's right-hand side and pair
+    targets.
 
     Requires connections of at most two members each and at most M_MAX
     variables in all (a System is valid by construction).
     """
     variables, bunches, pairs, targets, entries = _lp_input(system, constraint)
     shape = _shape(len(variables), bunches, pairs)
-    rhs = [*entries, *targets, *shape.uniform_rhs[len(entries):]]  # then mass 1, separators 0
-    return FeasibilityProblem(variables, shape, np.array(rhs, dtype=np.float64))
+    rhs = [*entries, *shape.uniform_rhs[len(entries):]]  # then mass 1, separators 0
+    return FeasibilityProblem(variables, shape, np.array(rhs, dtype=np.float64), tuple(targets))
 
 
 #: The HiGHS bindings scipy ships, as one pybind11 extension module.
@@ -799,9 +773,10 @@ def decide(system: System, constraint: CouplingConstraint) -> FeasibilityVerdict
             feasible=False, witness=None, max_constraint_violation=degree, degree=degree,
         )
     witness, marginals = _witness(shape, variables, highs.getSolution().col_value)
-    rows, cols = shape.elastic_entries
-    got = np.bincount(rows, weights=marginals[cols], minlength=shape.elastic_rows)
-    violation = float(np.abs(got - [*entries, *targets, 1.0]).max())
+    rows, cols = shape.check_entries
+    want = [*entries, 1.0, *targets]
+    got = np.bincount(rows, weights=marginals[cols], minlength=len(want))
+    violation = float(np.abs(got - want).max())
     if violation > EPS_FEAS:
         raise SolverError(
             f"solver returned an invalid witness (violation {violation:g})"

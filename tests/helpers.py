@@ -386,13 +386,12 @@ def uniform_cnt1_rhs(problem) -> list[float]:
     """The CNT1 right-hand side of the problem's shape with every bunch
     uniform, read off its row labels: 1/(entries of its bunch) on each
     ``bunch[<context>][<a>]`` row, 1 on the mass row and 0 on every
-    separator row, the pair rows left out."""
+    separator row."""
     labels = problem.row_labels
-    bunch_rows = labels[:problem.shape.pair_rows.start]
-    sizes = Counter(label.rsplit("[", 1)[0] for label in bunch_rows)
-    rest = labels[problem.shape.pair_rows.stop:]
-    return [1.0 / sizes[label.rsplit("[", 1)[0]] for label in bunch_rows] + [
-        1.0 if label == "mass" else 0.0 for label in rest
+    mass = labels.index("mass")
+    sizes = Counter(label.rsplit("[", 1)[0] for label in labels[:mass])
+    return [1.0 / sizes[label.rsplit("[", 1)[0]] for label in labels[:mass]] + [
+        1.0 if label == "mass" else 0.0 for label in labels[mass:]
     ]
 
 
@@ -408,16 +407,9 @@ class Cnt1Solve:
     iterations: int
 
 
-def cnt1_rhs(problem) -> list[float]:
-    """The problem's right-hand side without its pair rows: the CNT1 LP's
-    row bounds."""
-    rhs, pairs = problem.rhs.tolist(), problem.shape.pair_rows
-    return rhs[:pairs.start] + rhs[pairs.stop:]
-
-
 def _read_cnt1(problem, highs) -> Cnt1Solve:
     info = highs.getInfo()
-    deficit = sum(problem.rhs.tolist()[problem.shape.pair_rows]) + info.objective_function_value
+    deficit = sum(problem.targets) + info.objective_function_value
     return Cnt1Solve(
         max(0.0, 2.0 * deficit),
         np.array(highs.getSolution().col_value),
@@ -427,7 +419,7 @@ def _read_cnt1(problem, highs) -> Cnt1Solve:
 
 
 def _cnt1_solve(problem, highs, basis=None):
-    highs.passModel(_cnt1_model(problem.shape, cnt1_rhs(problem)))
+    highs.passModel(_cnt1_model(problem.shape, problem.rhs.tolist()))
     if basis is not None:
         highs.setBasis(basis)
     _run_to_optimum(highs)
@@ -437,7 +429,7 @@ def _cnt1_solve(problem, highs, basis=None):
 def solve_cnt1(problem) -> Cnt1Solve:
     """The library's CNT1 solve (``coupling._solve_cnt1``) of the problem, on
     this thread's instance, read back as a Cnt1Solve."""
-    return _read_cnt1(problem, coupling._solve_cnt1(problem.shape, cnt1_rhs(problem)))
+    return _read_cnt1(problem, coupling._solve_cnt1(problem.shape, problem.rhs.tolist()))
 
 
 def solve_cnt1_fresh(problem):
@@ -483,7 +475,7 @@ def glue_numpy(problem, x):
     marginals = list(tables)
     factors = [tables[0]]
     for (parent, child), (parent_entry, child_entry) in zip(
-        problem.tree, separator_entries(problem)
+        problem.shape.tree, separator_entries(problem)
     ):
         table = tables[child]
         separator = np.bincount(child_entry, weights=table)
@@ -501,12 +493,14 @@ def glue_numpy(problem, x):
 
 
 def clique_check_numpy(problem, marginals) -> float:
-    """The largest gap between a bunch, pair or mass row of the problem and
-    its value under the clique marginals, summed by ``np.bincount``."""
-    rows, cols = problem.shape.elastic_entries
-    k = problem.elastic_rows
+    """The largest gap between a bunch entry, the mass or a pair's target of
+    the problem and its value under the clique marginals, summed by
+    ``np.bincount``."""
+    rows, cols = problem.shape.check_entries
+    mass = problem.row_labels.index("mass")
+    want = np.array([*problem.rhs[:mass + 1], *problem.targets])
     return float(
-        np.abs(np.bincount(rows, weights=marginals[cols], minlength=k) - problem.rhs[:k]).max()
+        np.abs(np.bincount(rows, weights=marginals[cols], minlength=want.size) - want).max()
     )
 
 

@@ -42,7 +42,8 @@ def test_one_round_has_no_failure(workloads, name):
 )
 def test_one_traced_round_has_no_failure(workloads, name, solves_lp):
     # A traced round makes the extra calls behind the per-layer metrics;
-    # Spans.lp_size reads each LP's dense problem matrix.
+    # Spans.lp_size reads each LP's dense problem matrix, whose rows are
+    # those of the LP that decide solves.
     workload = getattr(workloads, name)(1)
     spans = workloads.Spans()
     done = workload.round(spans, True)
@@ -51,6 +52,9 @@ def test_one_traced_round_has_no_failure(workloads, name, solves_lp):
     assert done.problems == []
     if solves_lp:
         assert all(spans.maxima[key] > 0 for key in ("lp_rows", "lp_cols", "lp_nnz"))
+        build, constraint = workloads.cbdsys.build_feasibility_problem, workloads.CONSTRAINT
+        rows = max(len(build(op.system, constraint[op.constraint]).rhs) for op in workload.ops)
+        assert spans.maxima["lp_rows"] == rows
 
 
 def test_one_cli_round_has_no_failure(workloads, tmp_path):

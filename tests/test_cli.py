@@ -601,6 +601,25 @@ def test_cbd_log_debug_prints_the_decide_record():
     ]
 
 
+def test_inspected_lp_has_the_size_of_the_decide_record():
+    # build_feasibility_problem returns the LP that decide solves, so its
+    # matrix has the rows x columns of the record above.
+    from cbdsys import CouplingConstraint, build_feasibility_problem
+    from cbdsys.fileio import parse_system
+
+    system = parse_system(INPUT_DIR / "bell_pr_box.json")
+    problem = build_feasibility_problem(system, CouplingConstraint.MAX_EQUALITY)
+    assert problem.matrix.shape == (37, 48)
+
+
+def test_cbd_log_of_a_name_that_is_not_a_level_means_info():
+    # logging.BASIC_FORMAT is a format string, not a level.
+    run = _run_entry_point(("--version",), CBD_LOG="basic_format")
+    assert run.returncode == 0
+    assert run.stderr == ""
+    assert run.stdout.startswith("cbdsys, version ")
+
+
 @pytest.mark.parametrize("name", ["qq_unequal_marginals.json", "double_slit_worked.json"],
                          ids=["rank2", "rank4"])
 def test_equal_always_closed_form_on_inconsistent_input_points_to_lp(name):

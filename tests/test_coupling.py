@@ -166,9 +166,7 @@ class TestBuildFeasibilityProblem:
     def test_equal_always_targets_are_one(self):
         system = build_bell((0.0, 0.0, 0.0, 0.0), [0.0] * 8)
         problem = build_feasibility_problem(system, EA)
-        equal_rows = [i for i, lab in enumerate(problem.row_labels) if lab.startswith("equal")]
-        assert len(equal_rows) == 4
-        assert all(problem.rhs[i] == 1.0 for i in equal_rows)
+        assert problem.targets == (1.0,) * 4
 
 
 class TestDecide:
@@ -339,18 +337,18 @@ def test_glue_keeps_mass_where_a_child_separator_is_empty(rng):
     # of the glued joint.
     system = random_chain(rng, 4)
     problem = build_feasibility_problem(system, ME)
-    assert problem.tree
+    assert problem.shape.tree
     tables = clique_tables(problem, rng.dirichlet(np.ones(len(problem.shape.lp_cost))))
-    _, child = problem.tree[0]
+    _, child = problem.shape.tree[0]
     _, child_entry = separator_entries(problem)[0]
     tables[child][child_entry == 0] = 0.0
     x = np.concatenate(tables)
     x[: tables[0].size] /= tables[0].sum()
     witness, marginals = coupling._witness(problem.shape, problem.variables, x.tolist())
     assert sum(witness.probs) == pytest.approx(1.0, abs=1e-12)
-    m = problem.num_variables
+    m = len(problem.variables)
     for clique, marginal in zip(
-        problem.cliques, clique_tables(problem, marginals)
+        problem.shape.cliques, clique_tables(problem, marginals)
     ):
         assert marginalize_joint(witness.probs, list(clique), m) == pytest.approx(
             marginal.tolist(), abs=1e-12
@@ -424,7 +422,7 @@ def _empty_child_separator_entries(problem, x):
     clique tables x."""
     tables = clique_tables(problem, np.maximum(x, 0.0))
     count = 0
-    for (_, child), (_, child_entry) in zip(problem.tree, separator_entries(problem)):
+    for (_, child), (_, child_entry) in zip(problem.shape.tree, separator_entries(problem)):
         count += int((np.bincount(child_entry, weights=tables[child]) == 0).sum())
     return count
 
@@ -479,17 +477,22 @@ class TestShapeCache:
         assert (info.misses, info.hits) == (1, 2)
 
     def test_problem_carries_its_own_rhs_and_names(self):
+        # The bunch and mass rows are the joint problem's; its equal rows
+        # are the targets.
         a = build_feasibility_problem(self.A, ME)
         b = build_feasibility_problem(self.B, ME)
         assert a.matrix is b.matrix
         for system, problem in ((self.A, a), (self.B, b)):
             joint = build_joint_problem(system, ME)
-            k = problem.elastic_rows
+            equal = [lab.startswith("equal") for lab in joint.row_labels]
+            rows = [lab for lab, pair in zip(joint.row_labels, equal) if not pair]
+            k = len(rows)
             assert problem.variables == joint.variables
-            assert problem.row_labels[:k] == joint.row_labels
-            assert np.array_equal(problem.rhs[:k], joint.rhs)
+            assert problem.row_labels[:k] == tuple(rows)
+            assert np.array_equal(problem.rhs[:k], joint.rhs[np.logical_not(equal)])
+            assert np.array_equal(problem.targets, joint.rhs[equal])
             assert not problem.rhs[k:].any()
-        assert a.row_labels[a.elastic_rows:] == b.row_labels[b.elastic_rows:]
+        assert a.row_labels[k:] == b.row_labels[k:]
 
     def test_shared_matrix_is_read_only(self):
         problem = build_feasibility_problem(self.A, ME)
@@ -592,10 +595,10 @@ class TestSolverInstance:
     def test_failed_solve_leaves_the_instance_clean(self, problems):
         # Halving every bunch entry makes the bunch rows sum to 1/2 while
         # the mass row asks for 1, so the LP has no solution.
-        problem = next(p for p in problems if len(p.cliques) > 1)
+        problem = next(p for p in problems if len(p.shape.cliques) > 1)
         rhs = problem.rhs.copy()
-        rhs[:problem.shape.pair_rows.start] *= 0.5
-        broken = FeasibilityProblem(problem.variables, problem.shape, rhs)
+        rhs[:problem.row_labels.index("mass")] *= 0.5
+        broken = FeasibilityProblem(problem.variables, problem.shape, rhs, problem.targets)
         for solve in (solve_cnt1_fresh, solve_cnt1):
             with pytest.raises(SolverError, match=r"^LP solver failed: HiGHS model status "):
                 solve(broken)
@@ -780,27 +783,48 @@ class TestCliqueProblem:
         for _ in range(100):
             system = random_small_system(rng, max_vars=12)
             problem = build_feasibility_problem(system, ME)
-            m = problem.num_variables
-            cols = sum(1 << len(c) for c in problem.cliques)
+            m = len(problem.variables)
+            cols = sum(1 << len(c) for c in problem.shape.cliques)
             assert problem.matrix.shape[1] == cols <= 1 << m
             assert len(problem.rhs) == len(problem.row_labels) == problem.matrix.shape[0]
 
     @pytest.mark.parametrize("constraint", [ME, EA], ids=["ME", "EA"])
-    def test_cnt1_arrays_are_the_matrix_without_its_pair_rows(self, constraint, rng):
-        # A shape builds its CNT1 arrays and its dense matrix apart: the
-        # CNT1 LP is the problem with its pair rows deleted, and minus their
-        # sum as its cost.
+    def test_rows_and_cost_read_the_marginals_of_a_joint(self, constraint, rng):
+        # Cut a random dense joint P into its clique marginals x.  The rows
+        # then give P's bunch marginals, mass one and agreeing separators,
+        # and minus the cost gives the sum of P's pair-equal probabilities.
         for _ in range(100):
-            problem = build_feasibility_problem(random_small_system(rng, 12), constraint)
-            shape = problem.shape
-            pairs = range(problem.matrix.shape[0])[shape.pair_rows]
-            cnt1 = np.zeros((len(shape.uniform_rhs), len(shape.lp_cost)))
-            for col in range(len(shape.lp_cost)):
-                span = slice(shape.lp_start[col], shape.lp_start[col + 1])
-                np.add.at(cnt1, (list(shape.lp_index[span]), col), shape.lp_value[span])
+            system = random_small_system(rng, 12)
+            problem = build_feasibility_problem(system, constraint)
+            shape, m = problem.shape, len(problem.variables)
+            joint = rng.dirichlet(np.ones(1 << m))
+            x = np.concatenate(
+                [marginalize_joint(joint, list(clique), m) for clique in shape.cliques]
+            )
+            position = {v: j for j, v in enumerate(problem.variables)}
+            bunches = [
+                p
+                for b in system.bunches
+                for p in marginalize_joint(
+                    joint, [position[q, b.context] for q in b.contents], m
+                )
+            ]
+            pairs = [(c.content, c.members) for c in connections(system) if len(c.members) == 2]
+            equal = sum(
+                pair_equal_probability(joint, position[q, first], position[q, second])
+                for q, ((first, _), (second, _)) in pairs
+            )
+            zeros = [0.0] * (len(problem.rhs) - len(bunches) - 1)
             assert shape.lp_start[-1] == len(shape.lp_index) == len(shape.lp_value)
-            assert np.array_equal(cnt1, np.delete(problem.matrix, pairs, axis=0))
-            assert list(shape.lp_cost) == list(-problem.matrix[shape.pair_rows].sum(axis=0))
+            assert problem.matrix.shape == (len(problem.rhs), x.size)
+            assert np.allclose(problem.matrix @ x, [*bunches, 1.0, *zeros], rtol=0, atol=1e-12)
+            assert -np.dot(shape.lp_cost, x) == pytest.approx(equal, rel=0, abs=1e-12)
+            assert problem.rhs.tolist() == [
+                *(p for b in system.bunches for p in b.probs), 1.0, *zeros
+            ]
+            assert problem.targets == tuple(
+                constraint.target(a, b) for _, ((_, a), (_, b)) in pairs
+            )
             assert list(shape.uniform_rhs) == uniform_cnt1_rhs(problem)
 
     def test_cliques_form_a_clique_tree(self, rng):
@@ -810,7 +834,7 @@ class TestCliqueProblem:
         for _ in range(100):
             system = random_small_system(rng, max_vars=12)
             problem = build_feasibility_problem(system, EA)
-            cliques = [set(c) for c in problem.cliques]
+            cliques = [set(c) for c in problem.shape.cliques]
             pos = {var: j for j, var in enumerate(problem.variables)}
             for ctx in system.contexts:
                 members = {pos[(q, ctx.id)] for q in ctx.contents}
@@ -819,10 +843,10 @@ class TestCliqueProblem:
                 if len(conn.members) == 2:
                     pair = {pos[(conn.content, ctx)] for ctx, _ in conn.members}
                     assert any(pair <= c for c in cliques)
-            assert len(problem.tree) == len(cliques) - 1
-            for j in range(problem.num_variables):
+            assert len(problem.shape.tree) == len(cliques) - 1
+            for j in range(len(problem.variables)):
                 holders = {i for i, c in enumerate(cliques) if j in c}
-                links = [e for e in problem.tree if set(e) <= holders]
+                links = [e for e in problem.shape.tree if set(e) <= holders]
                 assert len(links) == len(holders) - 1
 
     def test_clique_tree_matches_rescanning_prim(self, rng):
@@ -830,7 +854,7 @@ class TestCliqueProblem:
         # trees, and with them the LP rows and witnesses, are identical.
         for _ in range(300):
             problem = build_feasibility_problem(random_small_system(rng, 12), ME)
-            assert list(problem.tree) == clique_tree_by_rescanning(list(problem.cliques))
+            assert list(problem.shape.tree) == clique_tree_by_rescanning(list(problem.shape.cliques))
 
     @pytest.mark.parametrize("n", [50, 100])
     def test_clique_tree_matches_rescanning_prim_on_long_cycles(self, n):
@@ -848,7 +872,7 @@ class TestCliqueProblem:
         # A cycle of 2n variables triangulates into 2n - 2 triangles: 144
         # columns for a rank-10 cycle (m = 20) instead of 2^20.
         problem = build_feasibility_problem(random_cycle(rng, n, consistent=False), ME)
-        assert problem.num_variables == 2 * n
+        assert len(problem.variables) == 2 * n
         assert problem.matrix.shape[1] == 8 * (2 * n - 2) < 200
 
 
