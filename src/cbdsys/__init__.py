@@ -30,15 +30,6 @@ from .errors import (
     ValidationError,
 )
 from .fileio import parse_system, parse_system_text, serialize_system, system_to_dict
-from .scenarios import (
-    DoubleSlitParams,
-    QuestionOrderParams,
-    build_bell,
-    build_double_slit,
-    build_question_order,
-    check_double_slit,
-    sample_double_slit_params,
-)
 from .system import (
     EPS_FEAS,
     EPS_PROB,
@@ -124,28 +115,40 @@ __all__ = [
     "witness_violation",
 ]
 
-#: Served from the coupling engine on first access (PEP 562), so that
-#: ``import cbdsys`` loads neither numpy nor the LP code.
-_COUPLING_NAMES = frozenset({
-    "M_MAX",
-    "CouplingWitness",
-    "FeasibilityProblem",
-    "FeasibilityVerdict",
-    "build_feasibility_problem",
-    "coupling_variables",
-    "decide",
-    "witness_violation",
-})
+#: Names served from their module on first access (PEP 562), so that
+#: ``import cbdsys`` loads neither numpy, the LP code nor the scenarios.
+_LAZY = {
+    **dict.fromkeys((
+        "M_MAX",
+        "CouplingWitness",
+        "FeasibilityProblem",
+        "FeasibilityVerdict",
+        "build_feasibility_problem",
+        "coupling_variables",
+        "decide",
+        "witness_violation",
+    ), "coupling"),
+    **dict.fromkeys((
+        "DoubleSlitParams",
+        "QuestionOrderParams",
+        "build_bell",
+        "build_double_slit",
+        "build_question_order",
+        "check_double_slit",
+        "sample_double_slit_params",
+    ), "scenarios"),
+}
 
 
 def __getattr__(name: str):
-    if name not in _COUPLING_NAMES:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import coupling
+    from importlib import import_module
 
-    value = globals()[name] = getattr(coupling, name)
+    module = import_module(f".{_LAZY[name]}", __name__)
+    value = globals()[name] = getattr(module, name)
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted(globals().keys() | _COUPLING_NAMES)
+    return sorted(globals().keys() | _LAZY.keys())

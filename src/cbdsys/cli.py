@@ -10,9 +10,11 @@ and the exit code is the verdict channel for scripting:
 * 2 - internal error (solver failure, method disagreement)
 * 3 - contextual
 
-One place, the ``cli`` group, turns every subcommand's errors into codes 1
-and 2; one function, ``_finish``, renders every report and exits with its
-verdict's code.
+One place, ``main``, turns every subcommand's errors into codes 1 and 2;
+one function, ``_finish``, renders every report and exits with its
+verdict's code.  A usage error (a missing or unreadable ``--input``, an
+unknown option, a bad choice, no subcommand) is an input error like any
+other: exit 1 with one ``error:`` line on stderr.
 
 CBD_LOG=<level> (a standard level name such as debug; any other value means
 info) sends log records of that level and above to stderr, prefixed with
@@ -23,6 +25,10 @@ iteration count, degree of contextuality, verdict), and the sweep's
 per-draw disagreement warning reaches stderr as a bare message even without
 CBD_LOG.
 
+Start-up loads the stdlib ``argparse`` and the closed-form modules (system,
+fileio, cyclic, report) and nothing else of note: ``logging`` is loaded only
+where a run logs (``main`` under CBD_LOG, the sweep's warning, the coupling
+engine), and ``cbdsys.scenarios`` only by ``double-slit``.
 Only an LP solve (``analyze --method lp/both``, ``analyze`` on a system with
 no closed form, ``double-slit``) loads numpy, the coupling engine
 (``cbdsys.coupling``) and scipy's HiGHS extension module; ``scipy.optimize``
@@ -34,20 +40,19 @@ engine module or bindings that are missing or fail to load exit 2 with an
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import importlib
-import logging
 import os
 import sys
 from typing import TYPE_CHECKING, NoReturn
-
-import click
 
 from . import __version__
 from .cyclic import cyclic_criterion, detect_cyclic, qq_statistic
 from .errors import (
     CbdError,
     ParameterError,
+    ParseError,
     RankError,
     SolverError,
 )
@@ -64,12 +69,6 @@ from .report import (
     system_summary,
     witness_entry,
 )
-from .scenarios import (
-    DoubleSlitParams,
-    build_double_slit,
-    check_double_slit,
-    sample_double_slit_params,
-)
 from .system import EPS_PROB, CouplingConstraint, System, consistency
 
 if TYPE_CHECKING:
@@ -79,8 +78,6 @@ EXIT_NONCONTEXTUAL = 0
 EXIT_INPUT_ERROR = 1
 EXIT_INTERNAL_ERROR = 2
 EXIT_CONTEXTUAL = 3
-
-log = logging.getLogger("cbdsys")
 
 _CONSTRAINTS = {c.value: c for c in CouplingConstraint}
 
@@ -100,8 +97,23 @@ def decide(system: System, constraint: CouplingConstraint) -> FeasibilityVerdict
 
 
 def _fail(message: str, code: int) -> NoReturn:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
+
+
+def _read_system(source: str) -> System:
+    """Parse the system file at ``source``, or stdin for ``-``; either must
+    be UTF-8 text."""
+    if source != "-":
+        try:
+            return parse_system(source)
+        except OSError as exc:
+            raise ParseError(f"cannot read {source}: {exc.strerror}") from exc
+    if sys.stdin is None:
+        raise ParseError("cannot read stdin: it is closed")
+    # A POSIX locale's stdin would turn undecodable bytes into surrogates.
+    sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+    return parse_system(sys.stdin)
 
 
 def _finish(
@@ -120,49 +132,16 @@ def _finish(
             verdict, failure = "disagreement", "closed-form and LP verdicts disagree"
     report["verdict"] = verdict
     report["engine"] = engine_entry()
-    click.echo(render_json(report) if output == "json" else render_text(report), nl=False)
+    sys.stdout.write(render_json(report) if output == "json" else render_text(report))
     if failure is not None:
         _fail(failure, EXIT_INTERNAL_ERROR)
     sys.exit(EXIT_NONCONTEXTUAL if verdict == NONCONTEXTUAL else EXIT_CONTEXTUAL)
 
 
-class _CbdGroup(click.Group):
-    """Command group that turns every subcommand's errors into exit codes:
-    a SolverError exits 2, any other CbdError exits 1."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except SolverError as exc:
-            _fail(str(exc), EXIT_INTERNAL_ERROR)
-        except CbdError as exc:
-            _fail(str(exc), EXIT_INPUT_ERROR)
-
-
-@click.group(cls=_CbdGroup)
-@click.version_option(version=__version__, prog_name="cbdsys")
-def cli() -> None:
-    """Contextuality analysis for context-content systems of binary variables."""
-
-
-@cli.command()
-@click.option("--input", "input_stream", type=click.File("r"), required=True,
-              help="System file (JSON); '-' reads stdin.")
-@click.option("--constraint", type=click.Choice(sorted(_CONSTRAINTS)),
-              default=CouplingConstraint.MAX_EQUALITY.value, show_default=True,
-              help="Coupling property demanded of within-connection pairs.")
-@click.option("--method", type=click.Choice(["auto", "closed-form", "lp", "both"]),
-              default="auto", show_default=True,
-              help="auto = closed form for a cyclic system of any rank, LP"
-                   " otherwise.")
-@click.option("--output", type=click.Choice(["text", "json"]), default="text",
-              show_default=True)
-@click.option("--witness", is_flag=True,
-              help="Include the coupling distribution when the LP finds one.")
-def analyze(input_stream, constraint: str, method: str, output: str, witness: bool):
+def analyze(source: str, constraint: str, method: str, output: str, witness: bool) -> NoReturn:
     """Decide whether the system in a file is contextual."""
     want = _CONSTRAINTS[constraint]
-    system = parse_system(input_stream)
+    system = _read_system(source)
     layout = detect_cyclic(system)
     run_closed = method in ("closed-form", "both")
     run_lp = method in ("lp", "both")
@@ -206,27 +185,10 @@ def analyze(input_stream, constraint: str, method: str, output: str, witness: bo
     _finish(report, output)
 
 
-@cli.command("double-slit")
-@click.option("--p", type=float, default=None,
-              help="Pr[detector] with only the left slit open.")
-@click.option("--q", type=float, default=None,
-              help="Pr[detector] with only the right slit open.")
-@click.option("--pp", type=float, default=None,
-              help="Pr[through left slit only], both slits open.")
-@click.option("--qp", type=float, default=None,
-              help="Pr[through right slit only], both slits open.")
-@click.option("--rp", type=float, default=None,
-              help="Pr[through both slits], both slits open.")
-@click.option("--sweep", type=int, default=None, metavar="N",
-              help="Analyze N random admissible parameter sets instead.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed for --sweep draws.")
-@click.option("--output", type=click.Choice(["text", "json"]), default="text",
-              show_default=True)
-@click.option("--witness", is_flag=True,
-              help="Include the coupling distribution (single run only).")
-def double_slit(p, q, pp, qp, rp, sweep, seed, output, witness):
+def double_slit(p, q, pp, qp, rp, sweep, seed, output, witness) -> NoReturn:
     """Analyze the two-slit detection scenario (always noncontextual)."""
+    from .scenarios import DoubleSlitParams, build_double_slit, check_double_slit
+
     point = [p, q, pp, qp, rp]
     if sweep is not None:
         if any(v is not None for v in point):
@@ -256,6 +218,10 @@ def double_slit(p, q, pp, qp, rp, sweep, seed, output, witness):
 
 
 def _double_slit_sweep(sweep: int, seed: int, output: str) -> NoReturn:
+    import logging
+
+    from .scenarios import build_double_slit, check_double_slit, sample_double_slit_params
+
     if sweep <= 0:
         raise ParameterError("--sweep must be positive")
     if seed < 0:
@@ -268,7 +234,9 @@ def _double_slit_sweep(sweep: int, seed: int, output: str) -> NoReturn:
         verdict = decide(build_double_slit(params), CouplingConstraint.MAX_EQUALITY)
         if closed.noncontextual != verdict.feasible:
             disagreements += 1
-            log.warning("draw %d: closed form and LP disagree (%r)", i, params)
+            logging.getLogger("cbdsys").warning(
+                "draw %d: closed form and LP disagree (%r)", i, params
+            )
         contextual += not closed.noncontextual
     report = {
         "command": "double-slit-sweep",
@@ -284,14 +252,9 @@ def _double_slit_sweep(sweep: int, seed: int, output: str) -> NoReturn:
     _finish(report, output, CONTEXTUAL if contextual else NONCONTEXTUAL, failure)
 
 
-@cli.command()
-@click.option("--input", "input_stream", type=click.File("r"), required=True,
-              help="Rank-2 system file (JSON); '-' reads stdin.")
-@click.option("--output", type=click.Choice(["text", "json"]), default="text",
-              show_default=True)
-def qq(input_stream, output: str):
+def qq(source: str, output: str) -> NoReturn:
     """Question-order diagnostics: QQ statistic plus the rank-2 criterion."""
-    system = parse_system(input_stream)
+    system = _read_system(source)
     layout = detect_cyclic(system)
     if layout is None or layout.rank != 2:
         raise RankError("qq needs a cyclic system of rank 2")
@@ -307,22 +270,90 @@ def qq(input_stream, output: str):
     _finish(report, output)
 
 
-def main(argv: list[str] | None = None) -> None:
-    """Entry point wrapping click so input errors exit 1, not click's 2."""
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors."""
+
+    def error(self, message: str) -> NoReturn:
+        _fail(message, EXIT_INPUT_ERROR)
+
+
+_DEFAULT = " (default: %(default)s)"
+
+
+def _parser() -> _Parser:
+    parser = _Parser(
+        prog="cbdsys", allow_abbrev=False,
+        description="Contextuality analysis for context-content systems of binary variables.",
+    )
+    parser.add_argument("--version", action="version", version=f"cbdsys, version {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def command(run):
+        sub = commands.add_parser(run.__name__.replace("_", "-"), allow_abbrev=False,
+                                  help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub
+
+    def output(sub) -> None:
+        sub.add_argument("--output", choices=["text", "json"], default="text",
+                         help="Report format." + _DEFAULT)
+
+    sub = command(analyze)
+    sub.add_argument("--input", dest="source", required=True, metavar="PATH",
+                     help="System file (JSON); '-' reads stdin.")
+    sub.add_argument("--constraint", choices=sorted(_CONSTRAINTS),
+                     default=CouplingConstraint.MAX_EQUALITY.value,
+                     help="Coupling property demanded of within-connection pairs." + _DEFAULT)
+    sub.add_argument("--method", choices=["auto", "closed-form", "lp", "both"],
+                     default="auto",
+                     help="auto = closed form for a cyclic system of any rank, LP"
+                          " otherwise." + _DEFAULT)
+    output(sub)
+    sub.add_argument("--witness", action="store_true",
+                     help="Include the coupling distribution when the LP finds one.")
+
+    sub = command(double_slit)
+    for flag, text in (("--p", "Pr[detector] with only the left slit open."),
+                       ("--q", "Pr[detector] with only the right slit open."),
+                       ("--pp", "Pr[through left slit only], both slits open."),
+                       ("--qp", "Pr[through right slit only], both slits open."),
+                       ("--rp", "Pr[through both slits], both slits open.")):
+        sub.add_argument(flag, type=float, help=text)
+    sub.add_argument("--sweep", type=int, metavar="N",
+                     help="Analyze N random admissible parameter sets instead.")
+    sub.add_argument("--seed", type=int, default=0,
+                     help="Seed for --sweep draws." + _DEFAULT)
+    output(sub)
+    sub.add_argument("--witness", action="store_true",
+                     help="Include the coupling distribution (single run only).")
+
+    sub = command(qq)
+    sub.add_argument("--input", dest="source", required=True, metavar="PATH",
+                     help="Rank-2 system file (JSON); '-' reads stdin.")
+    output(sub)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> NoReturn:
+    """Run one subcommand and exit with its code: a SolverError exits 2 and
+    any other CbdError exits 1, each with one ``error:`` line."""
     name = os.environ.get("CBD_LOG", "").upper()
     if name:
+        import logging
+
         level = getattr(logging, name, None)
         logging.basicConfig(
             level=level if isinstance(level, int) else logging.INFO, stream=sys.stderr
         )
+    options = vars(_parser().parse_args(argv))
+    run = options.pop("run")
+    del options["command"]
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(EXIT_INPUT_ERROR)
-    sys.exit(0)
+        run(**options)
+    except SolverError as exc:
+        _fail(str(exc), EXIT_INTERNAL_ERROR)
+    except CbdError as exc:
+        _fail(str(exc), EXIT_INPUT_ERROR)
 
 
 if __name__ == "__main__":

@@ -8,8 +8,12 @@ output changes and review the diff.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 INPUT_DIR = GOLDEN_DIR / "inputs"
@@ -239,12 +243,33 @@ CASES: tuple[GoldenCase, ...] = (
 )
 
 
-def run_case(case: GoldenCase):
+class Run(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def invoke(argv: list[str], stdin: bytes = b"") -> Run:
+    """Run ``cbdsys.cli.main(argv)`` in this process with ``stdin`` as its
+    standard input, capturing its exit code, stdout and stderr.  The input
+    stream decodes as a POSIX locale's does: UTF-8, with undecodable bytes
+    turned into surrogates."""
+    from cbdsys.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8", errors="surrogateescape")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            main(list(argv))
+        code = 0
+    except SystemExit as exc:
+        code = 0 if exc.code is None else exc.code
+    finally:
+        sys.stdin = saved
+    return Run(code, out.getvalue(), err.getvalue())
+
+
+def run_case(case: GoldenCase) -> Run:
     """Invoke the CLI in-process; returns (exit_code, stdout, stderr)."""
-    from click.testing import CliRunner
-
-    from cbdsys.cli import cli
-
-    runner = CliRunner()
-    result = runner.invoke(cli, resolve_args(case), catch_exceptions=False)
-    return result.exit_code, result.output, result.stderr
+    return invoke(resolve_args(case))

@@ -14,6 +14,7 @@ from golden_cases import (
     EXPECTED_DIR,
     INPUT_DIR,
     GoldenCase,
+    invoke,
     resolve_args,
     run_case,
 )
@@ -21,14 +22,14 @@ from golden_cases import (
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _run_python(args, check=False, **env):
+def _run_python(args, check=False, stdin=None, **env):
     """A fresh interpreter with this checkout's src first on its PYTHONPATH
     and CBD_LOG unset unless given, so it runs without an installed package."""
     base = {k: v for k, v in os.environ.items() if k != "CBD_LOG"}
     path = os.pathsep.join(p for p in (SRC, base.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, check=check,
-        env={**base, "PYTHONPATH": path, **env}, timeout=120,
+        input=stdin, env={**base, "PYTHONPATH": path, **env}, timeout=120,
     )
 
 
@@ -133,22 +134,24 @@ def test_cli_builds_the_layout_and_connections_once(monkeypatch, args):
     variables = sum(len(b.contents) for b in parse_system(INPUT_DIR / args[2]).bunches)
     calls = _count_views(monkeypatch)
     args = (args[0], "--input", str(INPUT_DIR / args[2]), *args[3:])
-    result = _invoke(args)
+    result = invoke(args)
     assert result.exit_code in (0, 3), result.stderr
     assert sorted(calls) == ["connections", "detect_cyclic", *["marginal"] * variables]
 
 
 def test_stdin_input():
-    from click.testing import CliRunner
-
-    from cbdsys.cli import cli
-
-    payload = (INPUT_DIR / "bell_mixed.json").read_text()
-    runner = CliRunner()
-    result = runner.invoke(cli, ["analyze", "--input", "-", "--output", "json"],
-                           input=payload)
+    payload = (INPUT_DIR / "bell_mixed.json").read_bytes()
+    result = invoke(["analyze", "--input", "-", "--output", "json"], stdin=payload)
     assert result.exit_code == 0
-    assert json.loads(result.output)["verdict"] == "noncontextual"
+    assert json.loads(result.stdout)["verdict"] == "noncontextual"
+
+
+@pytest.mark.parametrize("name", ["non_utf8.json", "malformed.json", "qq_identical.json"])
+def test_stdin_is_read_like_a_file(name):
+    # Both must be UTF-8: stdin's bytes reach the same decode and JSON errors.
+    from_file = invoke(["qq", "--input", str(INPUT_DIR / name)])
+    from_stdin = invoke(["qq", "--input", "-"], stdin=(INPUT_DIR / name).read_bytes())
+    assert from_stdin == from_file
 
 
 def test_witness_flag_included_only_on_request():
@@ -207,7 +210,7 @@ def test_method_both_never_disagrees_on_random_systems(tmp_path, rng):
 
 
 def test_usage_errors_exit_one_via_entry_point():
-    # Flag errors are input errors (exit 1), not click's default usage exit 2.
+    # Flag errors are input errors (exit 1), not argparse's default usage exit 2.
     proc = _run_python(
         ["-m", "cbdsys.cli", "analyze", "--method", "bogus",
          "--input", str(INPUT_DIR / "bell_mixed.json")])
@@ -221,14 +224,6 @@ def test_entry_point_runs_end_to_end():
          str(INPUT_DIR / "qq_identical.json"), "--output", "json"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["qq_statistic"] == 0
-
-
-def _invoke(args):
-    from click.testing import CliRunner
-
-    from cbdsys.cli import cli
-
-    return CliRunner().invoke(cli, args, catch_exceptions=False)
 
 
 _POINT = ("double-slit", "--p", "0.1", "--q", "0.1", "--pp", "0.08",
@@ -247,7 +242,7 @@ def test_solver_error_exits_two(monkeypatch, args):
         raise SolverError("solver gave up")
 
     monkeypatch.setattr("cbdsys.cli.decide", broken)
-    result = _invoke(args)
+    result = invoke(args)
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == ["error: solver gave up"]
@@ -273,8 +268,8 @@ def test_non_optimal_highs_status_exits_two(monkeypatch):
             return _core.HighsModelStatus.kIterationLimit
 
     monkeypatch.setattr(coupling, "_solver", Stalled)
-    result = _invoke(("analyze", "--input", str(INPUT_DIR / "bell_mixed.json"),
-                      "--method", "lp"))
+    result = invoke(("analyze", "--input", str(INPUT_DIR / "bell_mixed.json"),
+                     "--method", "lp"))
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == [
@@ -297,7 +292,7 @@ def _contradicting_decide(system, constraint):
 ], ids=["analyze_both", "double_slit_point"])
 def test_disagreement_exits_two(monkeypatch, args):
     monkeypatch.setattr("cbdsys.cli.decide", _contradicting_decide)
-    result = _invoke(args)
+    result = invoke(args)
     assert result.exit_code == 2
     doc = json.loads(result.stdout)
     assert doc["agreement"] is False
@@ -309,8 +304,8 @@ def test_disagreement_exits_two(monkeypatch, args):
 
 def test_sweep_disagreements_exit_two_and_keep_counts(monkeypatch):
     monkeypatch.setattr("cbdsys.cli.decide", _contradicting_decide)
-    result = _invoke(("double-slit", "--sweep", "3", "--seed", "1",
-                      "--output", "json"))
+    result = invoke(("double-slit", "--sweep", "3", "--seed", "1",
+                     "--output", "json"))
     assert result.exit_code == 2
     doc = json.loads(result.stdout)
     assert doc["counts"] == {"noncontextual": 3, "contextual": 0,
@@ -324,10 +319,14 @@ def test_sweep_disagreements_exit_two_and_keep_counts(monkeypatch):
 _LOAD_PROBE = """
 import contextlib, io, json, sys
 names = ("scipy", "scipy.optimize", "scipy.optimize._highspy._core",
-         "numpy", "cbdsys.coupling")
-loaded = []
+         "numpy", "cbdsys.coupling", "cbdsys.scenarios", "logging")
+before = set(sys.modules)
+loaded, foreign = [], []
 def note():
     loaded.append([name in sys.modules for name in names])
+    # Top-level packages loaded since start-up from outside the stdlib.
+    new = {name.partition(".")[0] for name in set(sys.modules) - before}
+    foreign.append(sorted(new - set(sys.stdlib_module_names) - {"cbdsys"}))
 note()
 import cbdsys
 note()
@@ -342,7 +341,7 @@ for argv in json.loads(sys.argv[1]):
         except SystemExit as exc:
             codes.append(exc.code)
     note()
-print(json.dumps({"loaded": loaded, "codes": codes}))
+print(json.dumps({"loaded": loaded, "foreign": foreign, "codes": codes}))
 """
 
 
@@ -353,19 +352,28 @@ def test_numpy_and_lp_engine_load_only_for_an_lp_solve():
         ["analyze", "--input", str(INPUT_DIR / "bell_pr_box.json")],
         ["qq", "--input", str(INPUT_DIR / "qq_unequal_marginals.json")],
         ["analyze", "--input", str(INPUT_DIR / "bad_sum.json")],
+        ["analyze", "--input", str(INPUT_DIR / "bell_pr_box.json"), "--method", "bogus"],
         ["analyze", "--input", str(INPUT_DIR / "bell_pr_box.json"),
          "--method", "lp"],
+        list(_POINT),
     ]
     proc = _run_python(["-c", _LOAD_PROBE, json.dumps(invocations)], check=True)
     doc = json.loads(proc.stdout)
-    assert doc["codes"] == [0, 3, 0, 1, 3]
+    assert doc["codes"] == [0, 3, 0, 1, 1, 3, 0]
     # Before any import, after `import cbdsys`, after `import cbdsys.cli`,
-    # then after each invocation: only the last one solves an LP.  It loads
-    # numpy, the coupling engine and the HiGHS bindings alone, never the
-    # scipy or scipy.optimize packages.
+    # then after each invocation.  Start-up, --version, the closed forms and
+    # the input errors load none of the names.  The LP solve loads numpy,
+    # the coupling engine (which logs) and the HiGHS bindings alone, never
+    # the scipy or scipy.optimize packages; only double-slit loads the
+    # scenarios.
+    none = [False] * 7
+    lp = [False, False, True, True, True, False, True]
     assert doc["loaded"] == (
-        [[False, False, False, False, False]] * 7 + [[False, False, True, True, True]]
+        [none] * 8 + [lp, [False, False, True, True, True, True, True]]
     )
+    # Outside the stdlib, only numpy and the HiGHS bindings are ever loaded,
+    # and only by the LP solves: argument parsing is the stdlib's.
+    assert doc["foreign"] == [[]] * 8 + [["numpy", "scipy"]] * 2
 
 
 _WITHOUT_NUMPY = (
@@ -412,16 +420,21 @@ import sys
 import cbdsys
 eager = set(vars(cbdsys))
 lazy = set(cbdsys.__all__) - eager
-assert lazy == {"M_MAX", "CouplingWitness", "FeasibilityProblem", "FeasibilityVerdict",
-                "build_feasibility_problem", "coupling_variables", "decide",
-                "witness_violation"}, lazy
+engine = {"M_MAX", "CouplingWitness", "FeasibilityProblem", "FeasibilityVerdict",
+          "build_feasibility_problem", "coupling_variables", "decide",
+          "witness_violation"}
+scenarios = {"DoubleSlitParams", "QuestionOrderParams", "build_bell",
+             "build_double_slit", "build_question_order", "check_double_slit",
+             "sample_double_slit_params"}
+assert lazy == engine | scenarios, lazy
 assert set(cbdsys.__all__) <= set(dir(cbdsys))
 assert not hasattr(cbdsys, "no_such_name")
-assert "cbdsys.coupling" not in sys.modules and "numpy" not in sys.modules
+assert not {"cbdsys.coupling", "cbdsys.scenarios", "numpy"} & set(sys.modules)
 values = {name: getattr(cbdsys, name) for name in cbdsys.__all__}
-import cbdsys.coupling
+import cbdsys.coupling, cbdsys.scenarios
 assert lazy <= set(vars(cbdsys))
-assert all(values[name] is getattr(cbdsys.coupling, name) for name in lazy)
+assert all(values[name] is getattr(cbdsys.coupling, name) for name in engine)
+assert all(values[name] is getattr(cbdsys.scenarios, name) for name in scenarios)
 namespace = {}
 exec("from cbdsys import *", namespace)
 assert all(namespace[name] is values[name] for name in cbdsys.__all__)
@@ -434,8 +447,8 @@ print("ok")
 
 
 def test_public_api_resolves_with_the_engine_loaded_lazily():
-    # Every name in __all__ resolves, and the coupling names come from the
-    # engine on first access, not with `import cbdsys`.
+    # Every name in __all__ resolves, and the coupling and scenario names
+    # come from their modules on first access, not with `import cbdsys`.
     proc = _run_python(["-c", _API_PROBE])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
@@ -583,8 +596,8 @@ def test_missing_highs_bindings_exit_two(tmp_path, bindings, message):
     assert line.endswith("; cbdsys needs scipy>=1.17")
 
 
-def _run_entry_point(args, **env):
-    return _run_python(["-m", "cbdsys.cli", *args], **env)
+def _run_entry_point(args, stdin=None, **env):
+    return _run_python(["-m", "cbdsys.cli", *args], stdin=stdin, **env)
 
 
 def test_cbd_log_debug_prints_the_decide_record():
@@ -623,8 +636,8 @@ def test_cbd_log_of_a_name_that_is_not_a_level_means_info():
 @pytest.mark.parametrize("name", ["qq_unequal_marginals.json", "double_slit_worked.json"],
                          ids=["rank2", "rank4"])
 def test_equal_always_closed_form_on_inconsistent_input_points_to_lp(name):
-    result = _invoke(("analyze", "--input", str(INPUT_DIR / name), "--constraint",
-                      "equal-always", "--method", "closed-form"))
+    result = invoke(("analyze", "--input", str(INPUT_DIR / name), "--constraint",
+                     "equal-always", "--method", "closed-form"))
     assert result.exit_code == 1
     assert result.stdout == ""
     [line] = result.stderr.splitlines()
@@ -633,8 +646,8 @@ def test_equal_always_closed_form_on_inconsistent_input_points_to_lp(name):
 
 
 def test_text_report_labels_an_infeasible_lp_number_degree():
-    result = _invoke(("analyze", "--input", str(INPUT_DIR / "bell_pr_box.json"),
-                      "--method", "both", "--output", "text"))
+    result = invoke(("analyze", "--input", str(INPUT_DIR / "bell_pr_box.json"),
+                     "--method", "both", "--output", "text"))
     assert result.exit_code == 3
     lines = result.stdout.splitlines()
     assert "method cyclic4: lhs 4 rhs 2 margin -2 -> contextual" in lines
@@ -651,3 +664,66 @@ def test_bad_sweep_options_exit_one_with_one_error_line(args, message):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("args, names", [
+    (("analyze", "--input", str(INPUT_DIR / "no_such_file.json")), "no_such_file.json"),
+    (("analyze", "--input", str(INPUT_DIR)), str(INPUT_DIR)),
+    (("analyze", "--input", str(INPUT_DIR / "bell_mixed.json"), "--method", "bogus"),
+     "'bogus'"),
+    # Abbreviations are refused, so --inp does not stand for --input.
+    (("analyze", "--inp", str(INPUT_DIR / "bell_mixed.json")), "--input"),
+    ((), "command"),
+], ids=["missing_input", "directory_input", "bad_choice", "abbreviated_option",
+        "no_subcommand"])
+def test_usage_errors_exit_one_with_one_error_line(args, names):
+    proc = _run_entry_point(args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ")
+    assert names in line
+
+
+def test_version_flag():
+    result = invoke(["--version"])
+    assert result == (0, "cbdsys, version 0.1.0\n", "")
+
+
+def test_equals_and_space_forms_of_a_value_parse_alike():
+    # Scripts write both --p=0.1 and --p 0.1.
+    spaced = invoke([*_POINT, "--output", "json"])
+    joined = invoke([_POINT[0], *(f"{flag}={value}" for flag, value
+                                  in zip(_POINT[1::2], _POINT[2::2])), "--output", "json"])
+    assert spaced.exit_code == 0, spaced.stderr
+    assert joined == spaced
+
+
+def test_entry_point_reads_stdin_for_a_dash():
+    payload = (INPUT_DIR / "qq_identical.json").read_text()
+    proc = _run_entry_point(("qq", "--input", "-", "--output", "json"), stdin=payload)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (EXPECTED_DIR / "qq_identical.json").read_text(encoding="utf-8")
+
+
+def test_closed_stdin_is_an_input_error():
+    # Python sets sys.stdin to None when it starts with file descriptor 0 closed.
+    proc = _run_python(["-c", "import runpy, sys; sys.stdin = None;"
+                        " runpy.run_module('cbdsys.cli', run_name='__main__', alter_sys=True)",
+                        "qq", "--input", "-"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: cannot read stdin: it is closed\n")
+
+
+def test_negative_number_is_a_value_not_an_option():
+    result = invoke(["double-slit", "--p", "-0.1", *_POINT[3:]])
+    assert result == (1, "", "error: p = -0.1 is negative\n")
+
+
+@pytest.mark.parametrize("command", [(), ("analyze",), ("double-slit",), ("qq",)],
+                         ids=["top", "analyze", "double-slit", "qq"])
+def test_help_exits_zero(command):
+    result = invoke([*command, "--help"])
+    assert result.exit_code == 0
+    assert result.stdout.startswith(" ".join(("usage: cbdsys", *command)))
+    assert result.stderr == ""
