@@ -27,20 +27,24 @@ On a clique tree, locally consistent tables always extend to a global joint
 (Vorob'ev 1962; Abramsky & Brandenburger, NJP 13, 2011), so the LP's optimum
 is exactly the optimum over all 2**m joint assignments.
 
-The LP's rows are, in this one order, every bunch entry, the total mass and
-every separator entry, each a hard equality, and the connection pairs enter
-only the objective: :func:`decide` maximizes the sum of Pr[pair equal] over
-all couplings of the bunches, the CNT1 LP of Kujala & Dzhafarov, "Measures of contextuality and
-non-contextuality", Phil. Trans. R. Soc. A 377 (2019).  The deficit is the
-sum of the pairs' targets minus that maximum, and the *degree* of
-contextuality is twice the deficit (clamped at 0): for cyclic systems it
-equals the criterion excess s_odd - (n - 2) - sum of gaps in expectation
-units (Dzhafarov, Kujala & Cervantes, PRA 101, 042119, 2020), so both routes
-compare one number with EPS_FEAS.  The LP always has a solution, since the
-product of the bunches is a coupling, and one HiGHS run decides it: called
-directly through the bindings scipy ships (``scipy.optimize._highspy._core``),
-dual simplex without presolve at TIGHT_TOL tolerances, on one instance per
-thread.  Each solve starts from its shape's start basis, never from an
+The LP's rows are, in this one order, every bunch entry and every separator
+entry, each a hard equality, and the connection pairs enter only the
+objective: :func:`decide` maximizes the sum of Pr[pair equal] over all
+couplings of the bunches, the CNT1 LP of Kujala & Dzhafarov, "Measures of
+contextuality and non-contextuality", Phil. Trans. R. Soc. A 377 (2019).
+A total-mass row would be implied by these: the first bunch's rows sum to
+the mass of the clique holding it, and the separator rows give every clique
+of the tree (across components too) the same mass, so the LP has none.
+The deficit is the sum of the pairs' targets minus that maximum, and the
+*degree* of contextuality is twice the deficit (clamped at 0): for cyclic
+systems it equals the criterion excess s_odd - (n - 2) - sum of gaps in
+expectation units (Dzhafarov, Kujala & Cervantes, PRA 101, 042119, 2020), so
+both routes compare one number with EPS_FEAS.  The LP always has a solution,
+since the product of the bunches is a coupling, and one HiGHS run decides
+it: called directly through the bindings scipy ships
+(``scipy.optimize._highspy._core``), dual simplex without presolve at
+TIGHT_TOL tolerances, on one instance per thread.  Each solve starts from
+its shape's start basis, never from an
 earlier system's (see below), so a result does not depend on what was
 solved before or on which thread solves it.  When the degree is at
 most EPS_FEAS the witness stays in clique-tree form: the root's table, then
@@ -64,12 +68,13 @@ varies within a shape, that basis is dual feasible for every system of the
 shape, and dual simplex started from it only repairs primal
 infeasibilities.  A decide whose shape is not cached pays the start-basis
 solve as well as its own, so a run of one-off shapes is slower than it
-would be from the slack basis.
+would be from the slack basis: about 630 against 530 us per decide for 40
+shapes of up to 12 variables decided in turn past the cache (2-core box).
 
 A :func:`decide` on a cached shape pays only for what depends on the
 system.  :func:`_lp_input` numbers the variables once and lists the bunch
 entries and the pair targets, read off the system's kept connections.  The
-bunch entries, mass 1 and separators 0 become the row bounds of the shape's
+bunch entries and separators 0 become the row bounds of the shape's
 HighsLp, which each thread keeps, and ``passModel``, ``setBasis`` and
 ``run`` follow.  The degree needs only the objective value, so only a
 feasible verdict reads the solution back, as the list HiGHS returns, and
@@ -108,13 +113,13 @@ import sys
 import threading
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .errors import ConnectionSizeError, SolverError, SystemSizeError
-from .system import EPS_FEAS, M_MAX, System
+from .system import EPS_FEAS, M_MAX, System, _kept
 
 # The data model defines these, so the closed forms need not load this
 # module; they stay importable from here.
@@ -144,25 +149,25 @@ class _Shape:
     an entry of clique C's table carries variable C[j].  ``tree`` lists the
     clique-tree edges as (parent, child), root (clique 0) first.
 
-    The LP's rows are every bunch entry of every bunch, the mass row, then
-    per tree edge its separator rows: ``glue`` holds, per edge, the offset
-    of the parent's table, the separator entry that each of its entries
-    falls in, the same for the child's table, and the separator's entry
-    count, with +1 on the parent's entries and -1 on the child's.  The
-    witness is glued along it.  The constraint matrix is stored column-wise
+    The LP's rows are every bunch entry of every bunch, then per tree edge
+    its separator rows (no mass row: they imply it).  ``glue`` holds, per
+    edge, the offset of the parent's table, the separator entry that each of
+    its entries falls in, the same for the child's table, and the
+    separator's entry count, with +1 on the parent's entries and -1 on the
+    child's.  The witness is glued along it.  The constraint matrix is stored column-wise
     as (lp_start, lp_index, lp_value), in tuples because HiGHS's bindings
     read those fastest; only the row bounds vary per call, and each thread
     converts the rest once per shape (:func:`_cnt1_lp`).  ``lp_cost`` is
     minus the number of connection pairs that each column makes equal (both
     -1 or both +1), so the LP minimizes minus the sum of Pr[pair equal] over
     nonnegative columns.  ``uniform_rhs`` is the right-hand side when every
-    bunch is uniform (1/2**k per entry of a k-content bunch), mass 1 and
-    separators 0, and ``start_basis``, an optimal basis at that right-hand
-    side, starts every solve of this shape.
+    bunch is uniform (1/2**k per entry of a k-content bunch) and separators
+    0, and ``start_basis``, an optimal basis at that right-hand side, starts
+    every solve of this shape.
 
     ``check_entries`` holds the rows and columns, all 1, of the witness
-    check: the bunch rows and the mass row as in the LP, then one row per
-    connection pair, summing its equal columns.
+    check: the bunch rows as in the LP, a mass row over clique 0's table,
+    then one row per connection pair, summing its equal columns.
     """
 
     bunch_positions: tuple[tuple[int, ...], ...]
@@ -177,7 +182,7 @@ class _Shape:
     lp_cost: tuple[float, ...]
     uniform_rhs: tuple[float, ...]
 
-    @cached_property
+    @_kept
     def start_basis(self):
         """An optimal HiGHS basis of the CNT1 LP at ``uniform_rhs``, from one
         solve on this thread's instance, made on first use and kept.
@@ -193,7 +198,7 @@ class _Shape:
         _run(highs)
         return highs.getBasis()
 
-    @cached_property
+    @_kept
     def matrix(self) -> np.ndarray:
         """The dense constraint matrix, built from the column-wise arrays on
         first use and read-only."""
@@ -217,10 +222,11 @@ class FeasibilityProblem:
     cliques, the tree, the column-wise matrix and the costs.  ``matrix`` is
     its dense form, built on first read and read-only.  Its rows, and those
     of ``rhs`` and ``row_labels``, are in order: every bunch entry of every
-    context, total mass one, then, per tree edge, the separator rows
-    (right-hand side 0) that make its two cliques agree.  ``targets`` holds
-    each two-member connection's target Pr[equal], in the order of the
-    system's connections; the pairs enter only the cost.  ``variables``,
+    context, then, per tree edge, the separator rows (right-hand side 0)
+    that make its two cliques agree.  They imply total mass one, so no row
+    asks for it.  ``targets`` holds each two-member connection's target
+    Pr[equal], in the order of the system's connections; the pairs enter
+    only the cost.  ``variables``,
     ``rhs`` and ``targets`` are this system's own.  ``row_labels`` names
     every row from the variable names and the shape's tree, and is
     formatted only when first read.
@@ -231,9 +237,9 @@ class FeasibilityProblem:
     rhs: np.ndarray
     targets: tuple[float, ...]
 
-    @cached_property
+    @_kept
     def row_labels(self) -> tuple[str, ...]:
-        """``bunch[<context>][<entry>]``, ``mass`` and
+        """``bunch[<context>][<entry>]`` and
         ``separator[<parent>-<child>][<entry>]``, row by row."""
         names, shape = self.variables, self.shape
         labels = [
@@ -241,7 +247,6 @@ class FeasibilityProblem:
             for positions in shape.bunch_positions
             for a in range(1 << len(positions))
         ]
-        labels.append("mass")
         labels += [
             f"separator[{parent}-{child}][{s}]"
             for (parent, child), edge in zip(shape.tree, shape.glue)
@@ -276,7 +281,7 @@ class CouplingWitness:
     tree: tuple[tuple[int, int], ...]
     tables: tuple[np.ndarray, ...]
 
-    @cached_property
+    @_kept
     def probs(self) -> np.ndarray:
         """The product of the tables, taken over the joint viewed as an
         m-axis array whose axis k carries variable m-1-k (C order, so bit j
@@ -457,24 +462,25 @@ def _shape(
     def holder(positions) -> int:
         return next(i for i, c in enumerate(cliques) if set(positions) <= set(c))
 
-    # The CNT1 LP's nonzeros as (rows, columns, value): the bunch rows, the
-    # mass row, then the separator rows.
+    # The CNT1 LP's nonzeros as (rows, columns, value): the bunch rows, then
+    # the separator rows.  The witness check's (rows, columns): the same
+    # bunch rows, the mass row, then the pair rows.
     triples: list[tuple[np.ndarray, np.ndarray, float]] = []
+    check: list[tuple[np.ndarray, np.ndarray]] = []
     row = 0
     for positions in bunch_positions:
         entry, col = marginal(holder(positions), positions)
         triples.append((row + entry, col, 1.0))
+        check.append((row + entry, col))
         row += 1 << len(positions)
-    mass = row
+    bunch_rows = row
     entry, col = marginal(0, ())
-    triples.append((row + entry, col, 1.0))
-    row += 1
+    check.append((row + entry, col))
     equal = []
     for u, v in pair_positions:
         entry, col = marginal(holder((u, v)), (u, v))
         equal.append(col[(entry == 0) | (entry == 3)])  # both -1 or both +1
-    check = [(r, c) for r, c, _ in triples]
-    check += [(np.full(c.size, r), c) for r, c in enumerate(equal, row)]
+    check += [(np.full(c.size, r), c) for r, c in enumerate(equal, row + 1)]
 
     glue = []
     for parent, child in tree:
@@ -507,7 +513,7 @@ def _shape(
             0.5 ** len(positions)
             for positions in bunch_positions
             for _ in range(1 << len(positions))
-        ) + (1.0,) + (0.0,) * (row - mass - 1),
+        ) + (0.0,) * (row - bunch_rows),
     )
 
 
@@ -523,7 +529,7 @@ def build_feasibility_problem(
     """
     variables, bunches, pairs, targets, entries = _lp_input(system, constraint)
     shape = _shape(len(variables), bunches, pairs)
-    rhs = [*entries, *shape.uniform_rhs[len(entries):]]  # then mass 1, separators 0
+    rhs = [*entries, *shape.uniform_rhs[len(entries):]]  # then separators 0
     return FeasibilityProblem(variables, shape, np.array(rhs, dtype=np.float64), tuple(targets))
 
 
@@ -654,10 +660,10 @@ def _run(highs) -> None:
 
 
 def _solve_cnt1(shape: _Shape, b):
-    """Maximize the sum of Pr[pair equal] subject to every bunch entry, the
-    total mass and every separator row fixed to the CNT1 row bounds b, and
-    x >= 0, on this thread's HiGHS instance (:func:`_solver`), starting from
-    the shape's start basis, never from an earlier system's.
+    """Maximize the sum of Pr[pair equal] subject to every bunch entry and
+    every separator row fixed to the CNT1 row bounds b, and x >= 0, on this
+    thread's HiGHS instance (:func:`_solver`), starting from the shape's
+    start basis, never from an earlier system's.
 
     This thread's HighsLp of the shape gets b as its row bounds and goes to
     ``passModel``, which copies it.  Never pass the model as numpy arrays

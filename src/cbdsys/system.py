@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ContentNotInContextError, ValidationError
@@ -59,10 +58,13 @@ class _kept:
     stored in the instance's ``__dict__``, where later reads find it without
     calling here.
 
-    This is functools.cached_property without the lock that Python 3.11
-    takes around every first read, which costs about as much as a
-    two-content bunch's marginals.  Threads that read a view at once may
-    each compute it; they store equal values.
+    This is the functools cached property without the lock that Python 3.11
+    takes around every first read.  That lock costs about as much as a
+    two-content bunch's marginals, and it is one lock per class attribute,
+    shared by every instance: while one thread computes a slow view (a large
+    shape's start basis), no other thread can compute that view for any
+    other instance.  Threads that read a view at once may each compute it;
+    they store equal values.
     """
 
     def __init__(self, func):
@@ -140,7 +142,7 @@ class Bunch:
     @_kept
     def plus_probs(self) -> tuple[float, ...]:
         """Pr[+1] of each content, in content order, computed on first use
-        and kept; each is the same ``fsum`` as :func:`marginal`."""
+        and kept; :func:`marginal` reads its value from here."""
         return tuple(_plus_probability(self.probs, j) for j in range(len(self.contents)))
 
     def bit(self, content: str) -> int:
@@ -169,7 +171,7 @@ class System:
         object.__setattr__(self, "bunches", tuple(self.bunches))
         require_valid(self)
 
-    @cached_property
+    @_kept
     def contexts(self) -> tuple[Context, ...]:
         """The contexts, in declaration order, as (id, contents) views."""
         return tuple(Context(b.context, b.contents) for b in self.bunches)
@@ -368,8 +370,9 @@ def _plus_probability(probs: tuple[float, ...], bit: int) -> float:
 
 
 def marginal(bunch: Bunch, content: str) -> float:
-    """Pr[content = +1] under the bunch's joint distribution."""
-    return _plus_probability(bunch.probs, bunch.bit(content))
+    """Pr[content = +1] under the bunch's joint distribution, read from its
+    kept :attr:`Bunch.plus_probs`."""
+    return bunch.plus_probs[bunch.bit(content)]
 
 
 def expectation(bunch: Bunch, content: str) -> float:

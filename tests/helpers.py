@@ -382,17 +382,22 @@ def _run_to_optimum(highs) -> None:
         raise SolverError(f"LP solver failed: HiGHS model status {name!r}")
 
 
+def bunch_row_count(problem) -> int:
+    """How many ``bunch[<context>][<a>]`` rows the problem's CNT1 LP has:
+    they come first, before the separator rows."""
+    return sum(label.startswith("bunch[") for label in problem.row_labels)
+
+
 def uniform_cnt1_rhs(problem) -> list[float]:
     """The CNT1 right-hand side of the problem's shape with every bunch
     uniform, read off its row labels: 1/(entries of its bunch) on each
-    ``bunch[<context>][<a>]`` row, 1 on the mass row and 0 on every
-    separator row."""
+    ``bunch[<context>][<a>]`` row and 0 on every separator row."""
     labels = problem.row_labels
-    mass = labels.index("mass")
-    sizes = Counter(label.rsplit("[", 1)[0] for label in labels[:mass])
-    return [1.0 / sizes[label.rsplit("[", 1)[0]] for label in labels[:mass]] + [
-        1.0 if label == "mass" else 0.0 for label in labels[mass:]
-    ]
+    bunches = bunch_row_count(problem)
+    sizes = Counter(label.rsplit("[", 1)[0] for label in labels[:bunches])
+    return [1.0 / sizes[label.rsplit("[", 1)[0]] for label in labels[:bunches]] + [
+        0.0
+    ] * (len(labels) - bunches)
 
 
 @dataclass(frozen=True)
@@ -495,10 +500,10 @@ def glue_numpy(problem, x):
 def clique_check_numpy(problem, marginals) -> float:
     """The largest gap between a bunch entry, the mass or a pair's target of
     the problem and its value under the clique marginals, summed by
-    ``np.bincount``."""
+    ``np.bincount``: the check's rows are the LP's bunch rows, a mass row
+    that asks for 1, then the pair rows."""
     rows, cols = problem.shape.check_entries
-    mass = problem.row_labels.index("mass")
-    want = np.array([*problem.rhs[:mass + 1], *problem.targets])
+    want = np.array([*problem.rhs[:bunch_row_count(problem)], 1.0, *problem.targets])
     return float(
         np.abs(np.bincount(rows, weights=marginals[cols], minlength=want.size) - want).max()
     )

@@ -15,6 +15,7 @@ from cbdsys import (
     DoubleSlitParams,
     build_bell,
     build_double_slit,
+    build_system,
     cbd_cyclic2,
     cbd_cyclic4,
     check_double_slit,
@@ -26,6 +27,7 @@ from cbdsys import (
     qq_statistic,
     sample_double_slit_params,
 )
+from cbdsys.coupling import _shape
 from golden_cases import CASES, EXPECTED_DIR, run_case
 from helpers import (
     brute_force_decide,
@@ -202,6 +204,23 @@ def test_c7_max_equality_formula_on_grid():
         elapsed = time.perf_counter() - started
         assert worst <= 1e-9, f"worst grid deviation {worst:g}"
         assert elapsed < 5.0, f"took {elapsed:.1f}s, budget 5s"
+
+
+def test_supplementary_first_decide_of_one_large_context():
+    # The first decide of a new shape also makes its start basis.  For one
+    # 14-content context (a 2^14-entry clique) that solve must stay cheap.
+    with criterion("supplementary (first decide of one 14-content context)"):
+        k = 14
+        rng = np.random.default_rng(14)
+        contents = [f"q{i}" for i in range(k)]
+        system = build_system(contents, [("c", contents, list(rng.dirichlet(np.ones(1 << k))))])
+        _shape.cache_clear()  # a new shape, whose start basis is not made yet
+        started = time.perf_counter()
+        verdict = decide(system, ME)
+        elapsed = time.perf_counter() - started
+        assert verdict.feasible  # one context alone is its own coupling
+        assert verdict.max_constraint_violation <= 1e-7
+        assert elapsed < 2.0, f"took {elapsed:.1f}s, budget 2s"
 
 
 def test_c8_decide_equals_brute_force_oracle():

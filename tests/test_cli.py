@@ -609,7 +609,7 @@ def test_cbd_log_debug_prints_the_decide_record():
     assert quiet.stdout == loud.stdout
     assert quiet.stderr == ""
     assert loud.stderr.splitlines() == [
-        "DEBUG:cbdsys.coupling:decide: m=8, 6 cliques, CNT1 LP 37 x 48,"
+        "DEBUG:cbdsys.coupling:decide: m=8, 6 cliques, CNT1 LP 36 x 48,"
         " Optimal after 6 simplex iterations, degree 2 -> infeasible"
     ]
 
@@ -622,7 +622,7 @@ def test_inspected_lp_has_the_size_of_the_decide_record():
 
     system = parse_system(INPUT_DIR / "bell_pr_box.json")
     problem = build_feasibility_problem(system, CouplingConstraint.MAX_EQUALITY)
-    assert problem.matrix.shape == (37, 48)
+    assert problem.matrix.shape == (36, 48)
 
 
 def test_cbd_log_of_a_name_that_is_not_a_level_means_info():

@@ -477,19 +477,23 @@ class TestShapeCache:
         assert (info.misses, info.hits) == (1, 2)
 
     def test_problem_carries_its_own_rhs_and_names(self):
-        # The bunch and mass rows are the joint problem's; its equal rows
-        # are the targets.
+        # The bunch rows are the joint problem's and its equal rows are the
+        # targets; its mass row has no CNT1 row, since the others imply it.
         a = build_feasibility_problem(self.A, ME)
         b = build_feasibility_problem(self.B, ME)
         assert a.matrix is b.matrix
         for system, problem in ((self.A, a), (self.B, b)):
             joint = build_joint_problem(system, ME)
             equal = [lab.startswith("equal") for lab in joint.row_labels]
-            rows = [lab for lab, pair in zip(joint.row_labels, equal) if not pair]
+            bunch = [lab.startswith("bunch[") for lab in joint.row_labels]
+            rows = [lab for lab, keep in zip(joint.row_labels, bunch) if keep]
             k = len(rows)
+            assert joint.row_labels[-1] == "mass"
+            assert sum(bunch) + sum(equal) + 1 == len(joint.rhs)
             assert problem.variables == joint.variables
             assert problem.row_labels[:k] == tuple(rows)
-            assert np.array_equal(problem.rhs[:k], joint.rhs[np.logical_not(equal)])
+            assert all(lab.startswith("separator[") for lab in problem.row_labels[k:])
+            assert np.array_equal(problem.rhs[:k], joint.rhs[bunch])
             assert np.array_equal(problem.targets, joint.rhs[equal])
             assert not problem.rhs[k:].any()
         assert a.row_labels[k:] == b.row_labels[k:]
@@ -593,11 +597,14 @@ class TestSolverInstance:
             assert coupling._local.lps[shape] is kept[id(shape)], i
 
     def test_failed_solve_leaves_the_instance_clean(self, problems):
-        # Halving every bunch entry makes the bunch rows sum to 1/2 while
-        # the mass row asks for 1, so the LP has no solution.
-        problem = next(p for p in problems if len(p.shape.cliques) > 1)
+        # Halving the first bunch's entries makes them sum to 1/2 while the
+        # second bunch's sum to 1; the separator rows give every clique one
+        # mass, so the LP has no solution.
+        problem = next(
+            p for p in problems if len(p.shape.cliques) > 1 and len(p.shape.bunch_positions) > 1
+        )
         rhs = problem.rhs.copy()
-        rhs[:problem.row_labels.index("mass")] *= 0.5
+        rhs[:1 << len(problem.shape.bunch_positions[0])] *= 0.5
         broken = FeasibilityProblem(problem.variables, problem.shape, rhs, problem.targets)
         for solve in (solve_cnt1_fresh, solve_cnt1):
             with pytest.raises(SolverError, match=r"^LP solver failed: HiGHS model status "):
@@ -692,6 +699,49 @@ class TestSolverInstance:
             problem.shape.start_basis
         monkeypatch.undo()
         assert _solve_bits(solve_cnt1(problem)) == _solve_bits(solve_cnt1_fresh(problem))
+
+    def test_a_start_basis_being_made_holds_up_no_other_shape(self, monkeypatch, rng):
+        # Thread A stops inside the solve that makes its new shape's start
+        # basis.  Meanwhile thread B decides a system of another new shape,
+        # which needs its own start basis: no lock shared across shapes may
+        # make B wait for A.
+        first = random_cycle(rng, 4, consistent=False)
+        second = random_cycle(rng, 5, consistent=False)
+        held, release = threading.Event(), threading.Event()
+        run = coupling._run
+
+        def stalled(highs):
+            if threading.current_thread() is slow and not held.is_set():
+                held.set()
+                release.wait()
+            run(highs)
+
+        verdicts = {}
+
+        def work(name, system):
+            verdicts[name] = _verdict_bits(decide(system, ME))
+
+        _shape.cache_clear()
+        monkeypatch.setattr(coupling, "_run", stalled)
+        slow = threading.Thread(target=work, args=("first", first))
+        fast = threading.Thread(target=work, args=("second", second))
+        slow.start()
+        try:
+            assert held.wait(30)
+            fast.start()
+            fast.join(30)
+            assert not fast.is_alive()
+            assert slow.is_alive() and "first" not in verdicts
+        finally:
+            release.set()
+            slow.join()
+            if fast.ident is not None:
+                fast.join()
+        monkeypatch.undo()
+        assert verdicts == {
+            name: _verdict_bits(decide(system, ME))
+            for name, system in (("first", first), ("second", second))
+        }
 
     def test_threads_match_a_serial_run(self):
         # Four threads decide the same 258 cases, each in its own order.
@@ -791,8 +841,10 @@ class TestCliqueProblem:
     @pytest.mark.parametrize("constraint", [ME, EA], ids=["ME", "EA"])
     def test_rows_and_cost_read_the_marginals_of_a_joint(self, constraint, rng):
         # Cut a random dense joint P into its clique marginals x.  The rows
-        # then give P's bunch marginals, mass one and agreeing separators,
-        # and minus the cost gives the sum of P's pair-equal probabilities.
+        # then give P's bunch marginals and agreeing separators, minus the
+        # cost gives the sum of P's pair-equal probabilities, and the
+        # witness check's rows give the bunch marginals, mass one and each
+        # pair-equal probability.
         for _ in range(100):
             system = random_small_system(rng, 12)
             problem = build_feasibility_problem(system, constraint)
@@ -810,18 +862,24 @@ class TestCliqueProblem:
                 )
             ]
             pairs = [(c.content, c.members) for c in connections(system) if len(c.members) == 2]
-            equal = sum(
+            equal = [
                 pair_equal_probability(joint, position[q, first], position[q, second])
                 for q, ((first, _), (second, _)) in pairs
-            )
-            zeros = [0.0] * (len(problem.rhs) - len(bunches) - 1)
+            ]
+            zeros = [0.0] * (len(problem.rhs) - len(bunches))
             assert shape.lp_start[-1] == len(shape.lp_index) == len(shape.lp_value)
             assert problem.matrix.shape == (len(problem.rhs), x.size)
-            assert np.allclose(problem.matrix @ x, [*bunches, 1.0, *zeros], rtol=0, atol=1e-12)
-            assert -np.dot(shape.lp_cost, x) == pytest.approx(equal, rel=0, abs=1e-12)
+            assert np.allclose(problem.matrix @ x, [*bunches, *zeros], rtol=0, atol=1e-12)
+            assert -np.dot(shape.lp_cost, x) == pytest.approx(sum(equal), rel=0, abs=1e-12)
             assert problem.rhs.tolist() == [
-                *(p for b in system.bunches for p in b.probs), 1.0, *zeros
+                *(p for b in system.bunches for p in b.probs), *zeros
             ]
+            # The witness check keeps a mass row: the bunch rows, mass one,
+            # then each pair's Pr[equal].
+            rows, cols = shape.check_entries
+            assert rows.max() + 1 == len(bunches) + 1 + len(pairs)
+            got = np.bincount(rows, weights=x[cols])
+            assert np.allclose(got, [*bunches, 1.0, *equal], rtol=0, atol=1e-12)
             assert problem.targets == tuple(
                 constraint.target(a, b) for _, ((_, a), (_, b)) in pairs
             )
