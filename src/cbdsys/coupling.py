@@ -40,13 +40,17 @@ The deficit is the sum of the pairs' targets minus that maximum, and the
 systems it equals the criterion excess s_odd - (n - 2) - sum of gaps in
 expectation units (Dzhafarov, Kujala & Cervantes, PRA 101, 042119, 2020), so
 both routes compare one number with EPS_FEAS.  The LP always has a solution,
-since the product of the bunches is a coupling, and one HiGHS run decides
-it: called directly through the bindings scipy ships
-(``scipy.optimize._highspy._core``), dual simplex without presolve at
-TIGHT_TOL tolerances, on one instance per thread.  Each solve starts from
-its shape's start basis, never from an
-earlier system's (see below), so a result does not depend on what was
-solved before or on which thread solves it.  When the degree is at
+since the product of the bunches is a coupling.  When the context graph
+(contexts as nodes, connection pairs as edges) is a forest, the
+triangulation adds no fill edge, every clique is one bunch or one pair, and
+the optimum is known: every pair at its maximal coupling, glued along the
+tree.  :func:`decide` then writes those tables down and solves nothing.
+Otherwise one HiGHS run decides it: called directly through the bindings
+scipy ships (``scipy.optimize._highspy._core``), dual simplex without
+presolve at TIGHT_TOL tolerances, on one instance per thread.  Each solve
+starts from its shape's start basis, never from an earlier system's (see
+below), so a result does not depend on what was solved before or on which
+thread solves it.  When the degree is at
 most EPS_FEAS the witness stays in clique-tree form: the root's table, then
 each child's table conditioned on its separator.  Their product is the glued
 joint.  One top-down pass over the tree gives every clique's marginal of
@@ -70,6 +74,10 @@ infeasibilities.  A decide whose shape is not cached pays the start-basis
 solve as well as its own, so a run of one-off shapes is slower than it
 would be from the slack basis: about 630 against 530 us per decide for 40
 shapes of up to 12 variables decided in turn past the cache (2-core box).
+A forest shape never makes a start basis or loads HiGHS, so no large
+context alone pays a cold solve: the first decide of one 16-content
+context takes about 0.2 s, three quarters of it the bunch's Pr[+1] sums,
+against 2.1 s with the LP.  A large context inside a cycle still pays it.
 
 A :func:`decide` on a cached shape pays only for what depends on the
 system.  :func:`_lp_input` numbers the variables once and lists the bunch
@@ -98,8 +106,8 @@ alone: :func:`_highspy` loads that one extension module out of scipy's
 package directory and never imports ``scipy`` or ``scipy.optimize``, whose
 import takes several times as long as the rest of a CLI run.
 Each :func:`decide` logs one debug record (variable count, cliques, CNT1 LP
-rows x columns, HiGHS model status, simplex iteration count, degree,
-verdict) on this module's logger.
+rows x columns, HiGHS model status and simplex iteration count, or for a
+forest that no LP ran, degree, verdict) on this module's logger.
 """
 
 from __future__ import annotations
@@ -168,6 +176,13 @@ class _Shape:
     ``check_entries`` holds the rows and columns, all 1, of the witness
     check: the bunch rows as in the LP, a mass row over clique 0's table,
     then one row per connection pair, summing its equal columns.
+
+    ``forest`` is None when the triangulation added a fill edge, that is
+    when the context graph (contexts as nodes, connection pairs as edges,
+    parallel edges a cycle) has a cycle.  Otherwise every clique is one
+    bunch or one connection pair, and ``forest`` holds, per clique, the
+    first LP row of its bunch's entries, or -1 for a pair: :func:`decide`
+    then writes the CNT1 optimum down without solving the LP.
     """
 
     bunch_positions: tuple[tuple[int, ...], ...]
@@ -176,6 +191,7 @@ class _Shape:
     offsets: tuple[int, ...]
     check_entries: tuple[np.ndarray, np.ndarray]
     glue: tuple[tuple[int, tuple[int, ...], int, tuple[int, ...], int], ...]
+    forest: tuple[int, ...] | None
     lp_start: tuple[int, ...]
     lp_index: tuple[int, ...]
     lp_value: tuple[float, ...]
@@ -468,10 +484,12 @@ def _shape(
     triples: list[tuple[np.ndarray, np.ndarray, float]] = []
     check: list[tuple[np.ndarray, np.ndarray]] = []
     row = 0
+    first_row = {}
     for positions in bunch_positions:
         entry, col = marginal(holder(positions), positions)
         triples.append((row + entry, col, 1.0))
         check.append((row + entry, col))
+        first_row[positions] = row
         row += 1 << len(positions)
     bunch_rows = row
     entry, col = marginal(0, ())
@@ -498,6 +516,10 @@ def _shape(
     order = np.lexsort((rows, cols))
     pair_cols = np.concatenate([np.zeros(0, np.int64), *equal])  # empty without pairs
     cost = -np.bincount(pair_cols, minlength=n).astype(np.float64)
+    # A fill edge joins two variables that share no bunch and no pair, so
+    # the clique holding it is neither; without one, every clique is one.
+    pairs = {tuple(sorted(pair)) for pair in pair_positions}
+    forest = tuple(first_row.get(c, -1) for c in cliques if c in first_row or c in pairs)
     return _Shape(
         bunch_positions=bunch_positions,
         cliques=tuple(cliques),
@@ -505,6 +527,7 @@ def _shape(
         offsets=tuple(offsets.tolist()),
         check_entries=tuple(np.concatenate(part) for part in zip(*check)),
         glue=tuple(glue),
+        forest=forest if len(forest) == len(cliques) else None,
         lp_start=tuple(np.searchsorted(cols[order], np.arange(n + 1)).tolist()),
         lp_index=tuple(rows[order].tolist()),
         lp_value=tuple(values[order].tolist()),
@@ -678,11 +701,37 @@ def _solve_cnt1(shape: _Shape, b):
     return highs
 
 
+def _forest_optimum(shape: _Shape, entries: list[float], plus: list[float]) -> list[float]:
+    """The CNT1 optimum of a forest shape as clique tables laid out like
+    the LP's columns, from the bunch entries and each variable's Pr[+1].
+
+    A bunch's clique holds that bunch's entries: its positions ascend, so
+    its bits are the bunch's.  A pair's clique (u, v) holds their maximal
+    coupling (1 - max(a, b), a - min(a, b), b - min(a, b), min(a, b)) for
+    Pr[u = +1] = a and Pr[v = +1] = b, equal with probability
+    1 - |a - b|, the most any coupling reaches.  Cliques share at most one
+    variable, whose Pr[+1] both tables carry, so they agree on every
+    separator (to rounding) and glue along the tree (Vorob'ev 1962).
+    """
+    x: list[float] = []
+    for clique, first, start, end in zip(
+        shape.cliques, shape.forest, shape.offsets, shape.offsets[1:]
+    ):
+        if first >= 0:
+            x += entries[first:first + end - start]
+        else:
+            a, b = plus[clique[0]], plus[clique[1]]
+            low, high = min(a, b), max(a, b)
+            x += (1.0 - high, a - low, b - low, low)
+    return x
+
+
 def _witness(
     shape: _Shape, variables: tuple[tuple[str, str], ...], x: list[float]
 ) -> tuple[CouplingWitness, np.ndarray]:
     """The witness glued from clique tables x, the shape's columns as HiGHS
-    returns them, and each clique's marginal of its joint, laid out like x.
+    returns them or as :func:`_forest_optimum` writes them, and each
+    clique's marginal of its joint, laid out like x.
 
     Tiny negative solver entries are clipped to zero first.  Each child's
     table is divided by its own separator marginal, and a separator entry of
@@ -756,29 +805,42 @@ def decide(system: System, constraint: CouplingConstraint) -> FeasibilityVerdict
     """Decide C-coupling existence, with a witness checked per clique when
     feasible.
 
-    One CNT1 solve gives the degree of contextuality; the system is
-    feasible iff it is at most EPS_FEAS, and feasible verdicts with a
-    degree above TIGHT_TOL are flagged ``boundary``.
+    The CNT1 optimum gives the degree of contextuality: one HiGHS solve,
+    or for a forest shape the maximal coupling of every pair
+    (:func:`_forest_optimum`).  The system is feasible iff the degree is at
+    most EPS_FEAS, and feasible verdicts with a degree above TIGHT_TOL are
+    flagged ``boundary``.
     """
     variables, bunches, pairs, targets, entries = _lp_input(system, constraint)
     shape = _shape(len(variables), bunches, pairs)
-    highs = _solve_cnt1(shape, [*entries, *shape.uniform_rhs[len(entries):]])
-    degree = max(0.0, 2.0 * (sum(targets) + highs.getObjectiveValue()))
+    if shape.forest is None:
+        highs = _solve_cnt1(shape, [*entries, *shape.uniform_rhs[len(entries):]])
+        degree = max(0.0, 2.0 * (sum(targets) + highs.getObjectiveValue()))
+    else:
+        plus = [p for b in system.bunches for p in b.plus_probs]
+        degree = max(0.0, 2.0 * sum(
+            target - max_equality_probability(plus[u], plus[v])
+            for target, (u, v) in zip(targets, pairs)
+        ))
     feasible = degree <= EPS_FEAS
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
-            "decide: m=%d, %d cliques, CNT1 LP %d x %d, %s after %d simplex"
-            " iterations, degree %.3g -> %s",
+            "decide: m=%d, %d cliques, CNT1 LP %d x %d, %s, degree %.3g -> %s",
             len(variables), len(shape.cliques), len(shape.uniform_rhs), len(shape.lp_cost),
-            highs.modelStatusToString(highs.getModelStatus()),
-            highs.getInfoValue("simplex_iteration_count")[1],
+            "forest: no LP run" if shape.forest is not None else
+            f"{highs.modelStatusToString(highs.getModelStatus())} after"
+            f" {highs.getInfoValue('simplex_iteration_count')[1]} simplex iterations",
             degree, "feasible" if feasible else "infeasible",
         )
     if not feasible:
         return FeasibilityVerdict(
             feasible=False, witness=None, max_constraint_violation=degree, degree=degree,
         )
-    witness, marginals = _witness(shape, variables, highs.getSolution().col_value)
+    x = (
+        highs.getSolution().col_value if shape.forest is None
+        else _forest_optimum(shape, entries, plus)
+    )
+    witness, marginals = _witness(shape, variables, x)
     rows, cols = shape.check_entries
     want = [*entries, 1.0, *targets]
     got = np.bincount(rows, weights=marginals[cols], minlength=len(want))

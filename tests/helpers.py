@@ -183,6 +183,31 @@ def random_chain(rng: np.random.Generator, n: int) -> System:
     return build_system([f"q{i}" for i in range(n + 1)], tables)
 
 
+def random_star(rng: np.random.Generator, k: int) -> System:
+    """A hub context of k contents q_i, each also measured in its own leaf
+    context l_i together with up to two contents found nowhere else: a
+    star of contexts, with independent Dirichlet tables."""
+    contents = [f"q{i}" for i in range(k)]
+    tables = [("hub", list(contents), list(rng.dirichlet([1.0] * (1 << k))))]
+    for i in range(k):
+        members = [f"q{i}", *(f"r{i}_{j}" for j in range(int(rng.integers(0, 3))))]
+        contents += members[1:]
+        tables.append((f"l{i}", members, list(rng.dirichlet([1.0] * (1 << len(members))))))
+    return build_system(contents, tables)
+
+
+def consistent_from_joint(system: System, rng: np.random.Generator) -> System:
+    """The same shape with every bunch the marginal of one random joint
+    over all contents, so every connection is consistent."""
+    ids = [c.id for c in system.contents]
+    joint = rng.dirichlet([0.5] * (1 << len(ids)))
+    return build_system(ids, [
+        (b.context, list(b.contents),
+         marginalize_joint(joint, [ids.index(q) for q in b.contents], len(ids)))
+        for b in system.bunches
+    ])
+
+
 def cyclic_criterion_margin(system: System, constraint: CouplingConstraint) -> float:
     """(n - 2 + Delta) - s_odd(e) for a rank-n cycle laid out as by
     random_cycle, from the bunch probabilities by enumeration: the system is

@@ -15,6 +15,7 @@ from cbdsys import (
     DoubleSlitParams,
     build_bell,
     build_double_slit,
+    build_feasibility_problem,
     build_system,
     cbd_cyclic2,
     cbd_cyclic4,
@@ -220,6 +221,28 @@ def test_supplementary_first_decide_of_one_large_context():
         elapsed = time.perf_counter() - started
         assert verdict.feasible  # one context alone is its own coupling
         assert verdict.max_constraint_violation <= 1e-7
+        assert elapsed < 2.0, f"took {elapsed:.1f}s, budget 2s"
+
+
+def test_supplementary_first_decide_of_a_large_context_in_a_cycle():
+    # One context alone is a forest and solves no LP.  Inside a cycle the
+    # first decide still makes the shape's start basis, a cold solve.
+    with criterion("supplementary (first decide of a 12-content context in a 3-context cycle)"):
+        k = 12
+        rng = np.random.default_rng(12)
+        contents = [f"q{i}" for i in range(k)]
+        system = build_system([*contents, "r"], [
+            ("c", contents, list(rng.dirichlet(np.ones(1 << k)))),
+            ("left", ["q0", "r"], list(rng.dirichlet(np.ones(4)))),
+            ("right", ["q11", "r"], list(rng.dirichlet(np.ones(4)))),
+        ])
+        _shape.cache_clear()  # a new shape, whose start basis is not made yet
+        started = time.perf_counter()
+        verdict = decide(system, ME)
+        elapsed = time.perf_counter() - started
+        shape = build_feasibility_problem(system, ME).shape
+        assert shape.forest is None and "start_basis" in vars(shape)
+        assert not verdict.feasible or verdict.max_constraint_violation <= 1e-7
         assert elapsed < 2.0, f"took {elapsed:.1f}s, budget 2s"
 
 

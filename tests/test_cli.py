@@ -614,6 +614,30 @@ def test_cbd_log_debug_prints_the_decide_record():
     ]
 
 
+def test_cbd_log_debug_prints_the_forest_decide_record():
+    # A chain of contexts is a forest: its record names the CNT1 LP it did
+    # not need and no HiGHS status, even after an LP ran in the process.
+    chain = ("analyze", "--input", str(INPUT_DIR / "chain.json"), "--method", "lp")
+    record = (
+        "DEBUG:cbdsys.coupling:decide: m=6, 5 cliques, CNT1 LP 20 x 20,"
+        " forest: no LP run, degree 0 -> feasible"
+    )
+    loud = _run_entry_point(chain, CBD_LOG="debug")
+    assert loud.returncode == 0
+    assert loud.stdout == _run_entry_point(chain).stdout
+    assert loud.stderr.splitlines() == [record]
+    probe = (
+        "import logging, sys;"
+        " from cbdsys import build_bell, decide, CouplingConstraint;"
+        " from cbdsys.fileio import parse_system;"
+        " logging.basicConfig(level=logging.DEBUG);"
+        " decide(build_bell((1, 1, 1, -1), [0.0] * 8), CouplingConstraint.MAX_EQUALITY);"
+        " decide(parse_system(sys.argv[1]), CouplingConstraint.MAX_EQUALITY)"
+    )
+    run = _run_python(["-c", probe, str(INPUT_DIR / "chain.json")], check=True)
+    assert run.stderr.splitlines()[1:] == [record]
+
+
 def test_inspected_lp_has_the_size_of_the_decide_record():
     # build_feasibility_problem returns the LP that decide solves, so its
     # matrix has the rows x columns of the record above.

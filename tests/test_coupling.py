@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import sys
 import threading
 import tracemalloc
@@ -41,6 +42,7 @@ from helpers import (
     clique_check_numpy,
     clique_tables,
     clique_tree_by_rescanning,
+    consistent_from_joint,
     cycle_from_moments,
     cyclic_criterion_margin,
     flip_content,
@@ -54,6 +56,7 @@ from helpers import (
     random_rank2,
     random_rank4_general,
     random_small_system,
+    random_star,
     separator_entries,
     solve_cnt1,
     solve_cnt1_cold,
@@ -387,16 +390,17 @@ def test_glue_matches_numpy_bit_for_bit(rng, monkeypatch):
 
 
 def _record_solutions(monkeypatch) -> list[np.ndarray]:
-    """Every CNT1 solve's clique tables x*, appended as decide solves."""
+    """The clique tables x* of every feasible decide, appended as decide
+    glues its witness from them: a HiGHS optimum, or a forest's optimum
+    written without an LP."""
     solutions = []
-    solve = coupling._solve_cnt1
+    glue = coupling._witness
 
-    def recorded(shape, b):
-        highs = solve(shape, b)
-        solutions.append(np.array(highs.getSolution().col_value))
-        return highs
+    def recorded(shape, variables, x):
+        solutions.append(np.array(x))
+        return glue(shape, variables, x)
 
-    monkeypatch.setattr(coupling, "_solve_cnt1", recorded)
+    monkeypatch.setattr(coupling, "_witness", recorded)
     return solutions
 
 
@@ -981,6 +985,113 @@ class TestLargeSystems:
 
         with pytest.raises(ValidationError):
             decide(build_system(["q"], [("c", ["q"], [0.6, 0.6])]), ME)
+
+
+def _forests() -> tuple[list, list]:
+    """Seeded forest-shaped systems: chains of 1 to 9 contexts, stars of 1
+    to 4 leaves, one context of 1 to 12 contents, and the forest-shaped
+    draws of random_small_system, with Dirichlet tables, then each again
+    with consistent tables from one joint.  Apart from those, some of the
+    consistent ones moved 1e-9 to 1e-7 of the way to their Dirichlet
+    tables, which puts them near the verdict boundary under equal-always."""
+    rng = np.random.default_rng(2424)
+    systems = [random_chain(rng, n) for n in range(1, 10) for _ in range(3)]
+    systems += [random_star(rng, k) for k in range(1, 5) for _ in range(8)]
+    for k in range(1, 13):
+        contents = [f"q{i}" for i in range(k)]
+        systems.append(build_system(contents, [("c", contents, list(rng.dirichlet(np.ones(1 << k))))]))
+    draws = [random_small_system(rng, 12) for _ in range(300)]
+    systems += [
+        s for s in draws if build_feasibility_problem(s, ME).shape.forest is not None
+    ]
+    pairs = [(s, consistent_from_joint(s, rng)) for s in systems if len(s.contents) <= 12]
+    near = [
+        _blended(consistent, system, lam)
+        for system, consistent in pairs[:60] for lam in (1e-9, 1e-8, 3e-8, 1e-7)
+    ]
+    return systems + [consistent for _, consistent in pairs], near
+
+
+def _blended(system, other, lam):
+    """Every bunch of ``system`` moved lam of the way to ``other``'s, a
+    system of the same shape and ids."""
+    return build_system([c.id for c in system.contents], [
+        (b.context, list(b.contents), [(1.0 - lam) * p + lam * q for p, q in zip(b.probs, o.probs)])
+        for b, o in zip(system.bunches, other.bunches)
+    ])
+
+
+def _equal_always_degree(system) -> float:
+    """Twice the sum of |a - b| over the connection pairs, with each Pr[+1]
+    summed from its bunch's entries: a forest's degree under equal-always."""
+    plus = {
+        (q, b.context): math.fsum(p for a, p in enumerate(b.probs) if a >> j & 1)
+        for b in system.bunches for j, q in enumerate(b.contents)
+    }
+    return 2.0 * math.fsum(
+        abs(plus[c.content, first] - plus[c.content, second])
+        for c in connections(system) if len(c.members) == 2
+        for (first, _), (second, _) in [c.members]
+    )
+
+
+class TestForest:
+    """A forest's CNT1 optimum is written down, never solved: it must be
+    the optimum HiGHS finds for the same shape."""
+
+    @pytest.fixture(scope="class")
+    def forests(self):
+        return _forests()
+
+    @staticmethod
+    def _decide_without_lp(monkeypatch, cases):
+        monkeypatch.setattr(coupling, "_solve_cnt1", None)  # a forest solves nothing
+        verdicts = [decide(*case) for case in cases]
+        monkeypatch.undo()
+        return verdicts
+
+    def test_forest_optimum_matches_the_lp(self, forests, monkeypatch):
+        cases = [(s, c) for s in forests[0] for c in (EA, ME)]
+        verdicts = self._decide_without_lp(monkeypatch, cases)
+        seen = set()
+        for i, ((system, constraint), verdict) in enumerate(zip(cases, verdicts)):
+            problem = build_feasibility_problem(system, constraint)
+            assert problem.shape.forest is not None, i
+            lp = solve_cnt1(problem)
+            assert abs(verdict.degree - lp.degree) <= 1e-12, i
+            assert verdict.feasible == (lp.degree <= EPS_FEAS), i
+            assert verdict.boundary == (verdict.feasible and lp.degree > coupling.TIGHT_TOL), i
+            if verdict.feasible:
+                assert witness_violation(system, constraint, verdict.witness) <= EPS_FEAS, i
+            seen.add((constraint, verdict.feasible))
+        assert len(cases) > 800
+        assert seen == {(EA, True), (EA, False), (ME, True)}
+
+    def test_forest_degree_near_the_boundary_is_exact(self, forests, monkeypatch):
+        # HiGHS meets each row only to TIGHT_TOL, so near the boundary its
+        # degree can be off by a few TIGHT_TOL: the exact degree, summed
+        # from the bunch entries, is the oracle here, the LP one within
+        # 10 * TIGHT_TOL.
+        near = forests[1]
+        verdicts = self._decide_without_lp(monkeypatch, [(s, EA) for s in near])
+        boundary = 0
+        for i, (system, verdict) in enumerate(zip(near, verdicts)):
+            exact = _equal_always_degree(system)
+            assert abs(verdict.degree - exact) <= 1e-12, i
+            assert verdict.feasible == (exact <= EPS_FEAS), i
+            assert verdict.boundary == (verdict.feasible and exact > coupling.TIGHT_TOL), i
+            lp = solve_cnt1(build_feasibility_problem(system, EA))
+            assert abs(verdict.degree - lp.degree) <= 10 * coupling.TIGHT_TOL, i
+            if verdict.feasible:
+                assert witness_violation(system, EA, verdict.witness) <= EPS_FEAS, i
+            boundary += verdict.boundary
+        assert 0 < boundary < sum(v.feasible for v in verdicts) < len(near)
+
+    def test_cycles_are_not_forests(self, rng):
+        for n in range(2, 9):
+            for consistent in (False, True):
+                system = random_rank2(rng) if n == 2 else random_cycle(rng, n, consistent)
+                assert build_feasibility_problem(system, ME).shape.forest is None, n
 
 
 class TestPolytopeSymmetries:
